@@ -2,14 +2,15 @@
 //
 // The slot store turns a node's iso-area into buffer-managed storage: a
 // node checkpoint persists every checkpointable thread into the per-node
-// store file, soft-dirty tracking shrinks the second and later rounds to
-// the pages actually written since the last one, and the residency tier
+// store file, userfaultfd write-protect dirty tracking (sys::DirtyTracker)
+// shrinks the second and later rounds to the pages actually written since
+// the last one, and the residency tier
 // (demote / fault-back) trades resident bytes for file bytes on cold
 // frozen threads.  This bench prices all three on one node:
 //
 //   * full node checkpoint of N threads (bytes written, µs);
 //   * incremental re-checkpoint after dirtying ~10% of the pages
-//     (bytes written vs skipped — the soft-dirty payoff);
+//     (bytes written vs skipped — the dirty-tracking payoff);
 //   * demote + fault-back round trip per thread (µs each way), plus the
 //     resident-byte count the store absorbed.
 //
@@ -18,9 +19,9 @@
 //   ./bench_checkpoint --json out.json    # machine-readable rows
 //   ./bench_checkpoint --smoke            # CI: small run; asserts the
 //                                         # incremental round writes less
-//                                         # than the full one (soft-dirty
-//                                         # kernels) and that demote /
-//                                         # fault-back round trips happen
+//                                         # than the full one (hosts with
+//                                         # dirty tracking) and that demote
+//                                         # / fault-back round trips happen
 #include <unistd.h>
 
 #include <atomic>
@@ -38,7 +39,7 @@
 #include "pm2/app.hpp"
 #include "pm2/checkpoint.hpp"
 #include "pm2/runtime.hpp"
-#include "sys/vm.hpp"
+#include "sys/dirty_tracker.hpp"
 
 using namespace pm2;
 
@@ -162,10 +163,10 @@ int main(int argc, char** argv) {
     std::fprintf(f,
                  "{\n  \"bench\": \"bench_checkpoint\",\n"
                  "  \"threads\": %lld,\n  \"kb_per_thread\": %lld,\n"
-                 "  \"soft_dirty\": %s,\n  \"rows\": [\n",
+                 "  \"dirty_tracking\": %s,\n  \"rows\": [\n",
                  static_cast<long long>(g_threads),
                  static_cast<long long>(g_kb),
-                 sys::soft_dirty_supported() ? "true" : "false");
+                 sys::dirty_tracking_supported() ? "true" : "false");
     for (size_t i = 0; i < g_rows.size(); ++i) {
       const Row& r = g_rows[i];
       std::fprintf(f,
@@ -192,7 +193,7 @@ int main(int argc, char** argv) {
   if (smoke) {
     PM2_CHECK(full_stats.threads == static_cast<uint64_t>(g_threads));
     PM2_CHECK(full_stats.bytes_written > 0);
-    if (sys::soft_dirty_supported()) {
+    if (sys::dirty_tracking_supported()) {
       PM2_CHECK(incr_stats.incremental)
           << "smoke: second checkpoint round was not incremental";
       PM2_CHECK(incr_stats.bytes_written < full_stats.bytes_written)

@@ -2,8 +2,10 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 
@@ -50,7 +52,10 @@ uint64_t round_up(uint64_t v, uint64_t align) {
 
 SlotStore::SlotStore(Area& area, const SlotStoreConfig& config,
                      uint64_t binary_stamp, uint32_t node, uint32_t n_nodes)
-    : area_(area), config_(config) {
+    : area_(area),
+      config_(config),
+      tracker_(area.base(), area.size()),
+      released_(area.n_slots()) {
   PM2_CHECK(!config_.path.empty()) << "slot store needs a backing file path";
   const uint64_t dir_bytes =
       uint64_t{config_.dir_capacity} * sizeof(StoreDirEntry);
@@ -119,54 +124,109 @@ uint64_t SlotStore::file_off(size_t first) const {
   return hdr_->data_off + uint64_t{first} * area_.slot_size();
 }
 
+// --- writes -----------------------------------------------------------
+
+bool SlotStore::write_thread(uint64_t id, uint64_t desc_addr,
+                             const std::vector<SlotRun>& runs,
+                             StoreWriteStats* stats) {
+  std::vector<bool> delta;
+  if (!record_thread(id, desc_addr, runs, delta)) return false;
+  StoreWriteStats ws = write_runs(runs, delta);
+  seal_thread(id);
+  if (stats != nullptr) *stats = ws;
+  return true;
+}
+
+StoreWriteStats SlotStore::write_runs(const std::vector<SlotRun>& runs,
+                                      const std::vector<bool>& delta) {
+  StoreWriteStats ws;
+  std::vector<sys::PageRange> dirty;
+  for (size_t i = 0; i < runs.size(); ++i) {
+    auto [first, count] = runs[i];
+    const auto base = reinterpret_cast<uintptr_t>(area_.slot_addr(first));
+    const size_t len = count * area_.slot_size();
+    ws.skipped += len;
+    if (delta[i]) {
+      tracker_.scan(base, len, dirty);
+      ws.incremental |= tracker_.exact();
+    } else {
+      // Protect before writing: a write racing the pwrite below reads as
+      // dirty next time instead of being lost.
+      tracker_.protect(base, len);
+      dirty.emplace_back(base, base + len);
+      lock_.lock();
+      released_.clear_range(first, count);
+      lock_.unlock();
+    }
+  }
+  // Adjacent runs and pages coalesce into one write each: the file mirrors
+  // the area linearly.
+  std::sort(dirty.begin(), dirty.end());
+  uint64_t span_begin = UINT64_MAX, span_end = 0;
+  for (size_t i = 0; i < dirty.size();) {
+    auto [begin, end] = dirty[i];
+    for (++i; i < dirty.size() && dirty[i].first <= end; ++i)
+      end = std::max(end, dirty[i].second);
+    void* src = reinterpret_cast<void*>(begin);
+    // Frozen stacks carry redzone poison from their live frames and parked
+    // pool stacks carry park poison; ASan checks the pwrite source buffer.
+    sys::san_unpoison(src, end - begin);
+    const uint64_t off = hdr_->data_off + (begin - area_.base());
+    pwrite_all(fd_, src, end - begin, off);
+    span_begin = std::min(span_begin, off);
+    span_end = off + (end - begin);
+    ws.written += end - begin;
+  }
+  ws.skipped -= ws.written;
+  // Start writeback right away: the next sync() then mostly waits for I/O
+  // already in flight instead of submitting every page at once.
+  if (span_end > 0) {
+    ::sync_file_range(fd_, static_cast<off_t>(span_begin),
+                      static_cast<off_t>(span_end - span_begin),
+                      SYNC_FILE_RANGE_WRITE);
+  }
+  return ws;
+}
+
 // --- residency ---------------------------------------------------------
 
-void SlotStore::demote(size_t first, size_t count) {
-  void* addr = area_.slot_addr(first);
-  const size_t len = count * area_.slot_size();
-  // Parked pool stacks are deliberately poisoned (PR-5 shadow rules); the
-  // shadow must be clean both for ASan's pwrite source check and so the
-  // file never captures poison as data.  fault_back()'s commit leaves the
-  // range unpoisoned and the runtime re-applies park poison afterwards.
-  sys::san_unpoison(addr, len);
-  pwrite_all(fd_, addr, len, file_off(first));
-  area_.decommit_force(first, count);
-  demotions_.fetch_add(1, std::memory_order_relaxed);
-  bytes_out_.fetch_add(len, std::memory_order_relaxed);
+bool SlotStore::demote(uint64_t id, uint64_t desc_addr,
+                       const std::vector<SlotRun>& runs, bool record) {
+  if (runs.size() > StoreDirEntry::kMaxRuns) return false;
+  StoreWriteStats ws;
+  if (record) {
+    if (!write_thread(id, desc_addr, runs, &ws)) return false;
+  } else {
+    ws = write_runs(runs, std::vector<bool>(runs.size(), false));
+  }
+  for (auto [first, count] : runs) area_.decommit_force(first, count);
+  demotions_.fetch_add(runs.size(), std::memory_order_relaxed);
+  bytes_out_.fetch_add(ws.written, std::memory_order_relaxed);
+  return true;
 }
 
 void SlotStore::fault_back(size_t first, size_t count) {
   area_.commit(first, count);  // mprotect RW + shadow unpoison
-  const size_t len = count * area_.slot_size();
-  pread_all(fd_, area_.slot_addr(first), len, file_off(first));
+  read_run(first, count);
   fault_backs_.fetch_add(1, std::memory_order_relaxed);
-  bytes_in_.fetch_add(len, std::memory_order_relaxed);
-}
-
-// --- checkpoint I/O ----------------------------------------------------
-
-uint64_t SlotStore::write_run(size_t first, size_t count) {
-  const size_t len = count * area_.slot_size();
-  // Same scrub as pack_thread_chain: a frozen stack carries redzone poison
-  // from its live frames, and ASan checks the pwrite source buffer.
-  sys::san_unpoison(area_.slot_addr(first), len);
-  pwrite_all(fd_, area_.slot_addr(first), len, file_off(first));
-  return len;
-}
-
-uint64_t SlotStore::write_range(uintptr_t addr, size_t len) {
-  PM2_CHECK(addr >= area_.base() && addr + len <= area_.base() + area_.size())
-      << "slot store write_range outside the iso-area";
-  sys::san_unpoison(reinterpret_cast<void*>(addr), len);
-  pwrite_all(fd_, reinterpret_cast<void*>(addr), len,
-             hdr_->data_off + (addr - area_.base()));
-  return len;
 }
 
 void SlotStore::read_run(size_t first, size_t count) {
+  void* addr = area_.slot_addr(first);
   const size_t len = count * area_.slot_size();
-  pread_all(fd_, area_.slot_addr(first), len, file_off(first));
+  // Populating the run in one call is cheaper than taking a page fault per
+  // page inside pread.  Best effort: pread faults in whatever is missing.
+  ::madvise(addr, len, MADV_POPULATE_WRITE);
+  pread_all(fd_, addr, len, file_off(first));
+  // Memory now equals the file: nothing of the run is dirty.
+  tracker_.protect(reinterpret_cast<uintptr_t>(addr), len);
   bytes_in_.fetch_add(len, std::memory_order_relaxed);
+}
+
+void SlotStore::note_released(size_t first, size_t count) {
+  lock_.lock();
+  released_.set_range(first, count);
+  lock_.unlock();
 }
 
 // --- thread directory --------------------------------------------------
@@ -185,7 +245,8 @@ const StoreDirEntry* SlotStore::entry_of(uint64_t id) const {
 }
 
 bool SlotStore::record_thread(uint64_t id, uint64_t desc_addr,
-                              const std::vector<SlotRun>& runs) {
+                              const std::vector<SlotRun>& runs,
+                              std::vector<bool>& delta) {
   if (runs.size() > StoreDirEntry::kMaxRuns) {
     PM2_WARN << "slot store: thread " << id << " spans " << runs.size()
              << " runs (directory limit " << StoreDirEntry::kMaxRuns
@@ -194,6 +255,21 @@ bool SlotStore::record_thread(uint64_t id, uint64_t desc_addr,
   }
   lock_.lock();
   StoreDirEntry* e = entry_of(id);
+  // The file mirrors a run exactly (up to tracked writes) while the sealed
+  // record lists it and its slots stayed with the thread.
+  delta.assign(runs.size(), false);
+  if (e != nullptr && e->state == StoreDirEntry::kValid) {
+    const StoreRun* listed_begin = e->runs;
+    const StoreRun* listed_end = e->runs + e->n_runs;
+    for (size_t i = 0; i < runs.size(); ++i) {
+      auto [first, count] = runs[i];
+      const bool listed =
+          std::find_if(listed_begin, listed_end, [&](const StoreRun& r) {
+            return r.first == first && r.count == count;
+          }) != listed_end;
+      delta[i] = listed && released_.none_set(first, count);
+    }
+  }
   if (e == nullptr) {
     for (uint32_t i = 0; i < hdr_->dir_capacity; ++i) {
       if (dir_[i].state == StoreDirEntry::kEmpty) {
@@ -276,7 +352,8 @@ std::vector<SlotStore::RecordedThread> SlotStore::recorded_threads() const {
 }
 
 void SlotStore::sync() {
-  meta_.sync();
+  // One flush covers the directory too: its MAP_SHARED pages are dirty
+  // page-cache pages of the same file.
   ::fdatasync(fd_);
 }
 

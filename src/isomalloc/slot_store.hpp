@@ -19,10 +19,21 @@
 // The same backing file doubles as the persistence layer: a thread
 // *directory* (MAP_SHARED header + records, so `kill -9` cannot lose it —
 // the page cache survives the process) names the threads whose images live
-// in the file, and pm2::checkpoint writes full or incremental (soft-dirty)
-// images through SlotStore::write_range.  A restarted node re-opens the
-// file with `recover = true`, validates the binary-stamp/geometry header,
-// and adopts the recorded threads (pm2::restore_node_from_store).
+// in the file.  A restarted node re-opens the file with `recover = true`,
+// validates the binary-stamp/geometry header, and adopts the recorded
+// threads (pm2::restore_node_from_store).
+//
+// Every data byte reaches the file through one write path, shared by node
+// checkpoints (write_thread) and demotion (demote).  The store registers the
+// whole area with a sys::DirtyTracker when it opens, so for a run the
+// thread's sealed record already lists, the file differs from memory
+// exactly on the pages the tracker reports written: one scan returns them
+// and re-protects them, and only they are written.  Any other run — fresh
+// thread, new run, migration arrival, slots released since — is protected
+// and written whole.  fault_back() and read_run() protect a run right after
+// filling it, so a faulted-back or restored thread costs nothing the next
+// round.  Without kernel support the scan reports every page written and
+// the same code writes full images.
 //
 // File layout (PM2STOR1):
 //   [0, 4K)              StoreHeader — magic, version, binary stamp, area
@@ -41,7 +52,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/bitmap.hpp"
 #include "isomalloc/area.hpp"
+#include "sys/dirty_tracker.hpp"
 #include "sys/spinlock.hpp"
 #include "sys/vm.hpp"
 
@@ -106,6 +119,13 @@ struct SlotStoreStats {
   uint64_t bytes_in = 0;   // read by fault_back()/read_run()
 };
 
+/// What one write_thread()/demote() wrote.
+struct StoreWriteStats {
+  uint64_t written = 0;      // slot bytes written to the file
+  uint64_t skipped = 0;      // clean bytes the file already held
+  bool incremental = false;  // some run was written as an exact delta
+};
+
 class SlotStore {
  public:
   /// Open (or create) the per-node backing file.  `binary_stamp` is the
@@ -123,41 +143,46 @@ class SlotStore {
   /// True when recover=true found and validated an existing store.
   bool recovered() const { return recovered_; }
 
+  // --- writes -----------------------------------------------------------
+
+  /// Persist thread `id`: record its runs (kWriting), write them, seal the
+  /// record (kValid).  A run the thread's sealed record already lists gets
+  /// only the pages written since it was last written or filled; any other
+  /// run is written whole.  Returns false, writing nothing, when the
+  /// directory refuses the record (full, or more than
+  /// StoreDirEntry::kMaxRuns runs).
+  bool write_thread(uint64_t id, uint64_t desc_addr,
+                    const std::vector<SlotRun>& runs,
+                    StoreWriteStats* stats = nullptr);
+
   // --- residency ---------------------------------------------------------
 
-  /// Write the run's bytes to the file and release its memory (pages
-  /// dropped, protection PROT_NONE).  Unpoisons the run first: parked pool
-  /// stacks carry ASan poison, and both the pwrite source check and the
-  /// file bytes themselves must see addressable memory.  The *caller*
-  /// re-establishes the poison after fault_back().
-  void demote(size_t first, size_t count);
+  /// Persist the runs and release their memory (pages dropped, protection
+  /// PROT_NONE).  With `record` the runs are thread `id`'s directory image,
+  /// written as by write_thread; a parked pool shell passes false (no
+  /// record: its bytes only back fault_back) and is written whole.  Returns
+  /// false, with nothing written or released, when the record is refused.
+  /// Written ranges are unpoisoned first: parked pool stacks carry ASan
+  /// poison, and both the pwrite source check and the file bytes must see
+  /// addressable memory.  The *caller* re-establishes the poison after
+  /// fault_back().
+  bool demote(uint64_t id, uint64_t desc_addr,
+              const std::vector<SlotRun>& runs, bool record);
 
-  /// Re-commit the run and read its bytes back from the file at the same
-  /// iso-addresses.
+  /// Re-commit the run, read its bytes back from the file at the same
+  /// iso-addresses, and protect it.
   void fault_back(size_t first, size_t count);
 
-  // --- checkpoint I/O (residency unchanged) ------------------------------
-
-  /// Write the run's current bytes to its file position (full image).
-  /// Returns bytes written.
-  uint64_t write_run(size_t first, size_t count);
-
-  /// Write an arbitrary byte range inside the area to its file position —
-  /// the incremental checkpoint's dirty-page/extent writer.  Returns `len`.
-  uint64_t write_range(uintptr_t addr, size_t len);
-
-  /// Read the run's bytes from the file into (already committed) memory.
+  /// Read the run's bytes from the file into (already committed) memory,
+  /// and protect it (crash restart).
   void read_run(size_t first, size_t count);
+
+  /// The run's slots went back to the node: whatever a sealed record lists,
+  /// their next write is whole (another store may protect them meanwhile).
+  void note_released(size_t first, size_t count);
 
   // --- thread directory --------------------------------------------------
 
-  /// Begin (or restart) a record for `id`: state kWriting.  Returns false
-  /// when the directory is full or the thread spans more than
-  /// StoreDirEntry::kMaxRuns runs (the caller then skips persisting it).
-  bool record_thread(uint64_t id, uint64_t desc_addr,
-                     const std::vector<SlotRun>& runs);
-  /// Seal `id`'s record: state kValid.
-  void seal_thread(uint64_t id);
   /// Drop `id`'s record (thread exited, migrated away, or was restored).
   void erase_thread(uint64_t id);
   bool has_record(uint64_t id) const;
@@ -172,12 +197,6 @@ class SlotStore {
 
   // --- misc --------------------------------------------------------------
 
-  /// Soft-dirty baseline latch for the incremental checkpoint: true once a
-  /// full round has been written *and* the process soft-dirty bits cleared,
-  /// i.e. pagemap deltas are meaningful against the file contents.
-  bool soft_dirty_armed() const { return soft_dirty_armed_; }
-  void set_soft_dirty_armed(bool armed) { soft_dirty_armed_ = armed; }
-
   /// fdatasync the backing file (durability against machine crash; kill -9
   /// survival needs nothing — the page cache persists).
   void sync();
@@ -186,6 +205,18 @@ class SlotStore {
 
  private:
   uint64_t file_off(size_t first) const;
+  /// Begin (or restart) a record for `id`: state kWriting.  `delta[i]`
+  /// tells whether runs[i] was listed in the previous sealed record and not
+  /// released since.  False when the directory refuses the record.
+  bool record_thread(uint64_t id, uint64_t desc_addr,
+                     const std::vector<SlotRun>& runs,
+                     std::vector<bool>& delta);
+  /// Seal `id`'s record: state kValid.
+  void seal_thread(uint64_t id);
+  /// The one write path: delta runs get their tracked dirty pages, the
+  /// others are protected and written whole.
+  StoreWriteStats write_runs(const std::vector<SlotRun>& runs,
+                             const std::vector<bool>& delta);
   StoreDirEntry* entry_of(uint64_t id);
   const StoreDirEntry* entry_of(uint64_t id) const;
 
@@ -196,11 +227,12 @@ class SlotStore {
   StoreHeader* hdr_ = nullptr;
   StoreDirEntry* dir_ = nullptr;
   bool recovered_ = false;
-  bool soft_dirty_armed_ = false;
-  // Directory scans/updates.  kLeaf: fault_back/record run under the
-  // runtime's store_lock_, so this lock must rank below every runtime map
-  // lock and may acquire nothing itself.
+  sys::DirtyTracker tracker_;
+  // Directory scans/updates and released_.  kLeaf: fault_back/record run
+  // under the runtime's store_lock_, so this lock must rank below every
+  // runtime map lock and may acquire nothing itself.
   mutable sys::SpinLock lock_{sys::LockRank::kLeaf};
+  pm2::Bitmap released_;  // slots released since they were last written whole
   std::atomic<uint64_t> demotions_{0};
   std::atomic<uint64_t> fault_backs_{0};
   std::atomic<uint64_t> bytes_out_{0};

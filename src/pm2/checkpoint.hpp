@@ -81,16 +81,18 @@ std::vector<uint8_t> load_checkpoint(const std::string& path);
 // name the images, and slot bytes land at their fixed file positions
 // (data_off + slot_index * slot_size) — the file is an address-stable
 // mirror of the iso-area, so repeated checkpoints overwrite in place and
-// only need to rewrite what changed.  Incremental rounds track dirty pages
-// with the kernel's soft-dirty bits (/proc/self/clear_refs + pagemap bit
-// 55) and fall back to the thread's live extents (the migration §6 walk)
-// where pagemap is unavailable.
+// only need to rewrite what changed.  What changed is known exactly: the
+// store's sys::DirtyTracker (userfaultfd asynchronous write-protect +
+// PAGEMAP_SCAN) reports the pages written since a run was last written or
+// filled, whoever wrote them — the thread, another thread, or the kernel.
+// Runs the thread's sealed record does not list yet are written whole.
+// Hosts without the tracker write full images through the same path.
 
 struct StoreCheckpointStats {
   uint64_t threads = 0;        // threads persisted this round
   uint64_t bytes_written = 0;  // slot bytes written to the store file
   uint64_t bytes_skipped = 0;  // clean bytes an incremental round avoided
-  bool incremental = false;    // this round wrote deltas, not full images
+  bool incremental = false;    // some run this round was an exact delta
 };
 
 /// Persist every checkpointable thread of this node into its slot store:
@@ -98,8 +100,8 @@ struct StoreCheckpointStats {
 /// threads are already byte-exact in the file (their record was written at
 /// demotion) and are skipped as pure savings; running (the caller),
 /// blocked and daemon threads are not checkpointable and are skipped with
-/// a warning for blocked ones.  The first round writes full images and
-/// arms soft-dirty tracking; later rounds write only dirty pages.
+/// a warning for blocked ones.  A thread's first round writes its full
+/// image; later rounds write only the pages written since.
 /// Requires RuntimeConfig::slot_store_dir.
 StoreCheckpointStats checkpoint_node_to_store(Runtime& rt);
 

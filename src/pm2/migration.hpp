@@ -29,10 +29,6 @@
 
 namespace pm2 {
 
-namespace iso {
-struct SlotHeader;
-}
-
 class Runtime;
 
 /// Serialize a frozen thread into a migration chain: staged metadata plus
@@ -62,13 +58,6 @@ marcel::Thread* install_thread(Runtime& rt, const std::vector<uint8_t>& payload)
 /// Payload size a migration of `t` would ship (for the A4 ablation bench).
 /// Costs only the pack walk — nothing is flattened or copied.
 size_t migration_payload_size(Runtime& rt, marcel::Thread* t, bool blocks_only);
-
-/// Live extents (offset, len from the run's first byte) of one slot run of a
-/// frozen thread: slot/block headers, busy payloads, descriptor and live
-/// stack — the same walk pack_thread_chain uses with blocks_only.  Exposed
-/// for the incremental checkpoint's fallback writer (no soft-dirty support).
-std::vector<std::pair<uint64_t, uint64_t>> run_live_extents(
-    Runtime& rt, marcel::Thread* t, iso::SlotHeader* slot);
 
 /// Slot runs (first, nslots) recorded in a migration payload, without
 /// installing it (checkpoint restore claims them before committing).

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "sys/sanitizer.hpp"
@@ -133,10 +134,6 @@ FileMapping& FileMapping::operator=(FileMapping&& other) noexcept {
   return *this;
 }
 
-void FileMapping::sync() {
-  if (data_ != nullptr) ::msync(data_, size_, MS_SYNC);
-}
-
 void FileMapping::release() {
   if (data_ != nullptr) {
     ::munmap(data_, size_);
@@ -145,6 +142,9 @@ void FileMapping::release() {
   }
 }
 
+namespace {
+
+// Reset the soft-dirty bit on every page of this process.
 bool clear_soft_dirty() {
   int fd = ::open("/proc/self/clear_refs", O_WRONLY | O_CLOEXEC);
   if (fd < 0) return false;
@@ -153,6 +153,8 @@ bool clear_soft_dirty() {
   return rc == 1;
 }
 
+// One byte per page of [addr, addr+len): 1 = written since the last
+// clear_soft_dirty().  False when pagemap is unavailable.
 bool read_soft_dirty(uintptr_t addr, size_t len, std::vector<uint8_t>& bits) {
   bits.clear();
   const size_t ps = page_size();
@@ -181,11 +183,12 @@ bool read_soft_dirty(uintptr_t addr, size_t len, std::vector<uint8_t>& bits) {
   return true;
 }
 
+}  // namespace
+
 bool soft_dirty_supported() {
   // One live self-test: clear the bits, dirty a private page, and check the
   // kernel reports exactly that page dirty.  Some kernels/containers hide
-  // pagemap bits (CONFIG_MEM_SOFT_DIRTY off, lockdown) — the incremental
-  // checkpoint then falls back to heap-chain extents.
+  // pagemap bits (CONFIG_MEM_SOFT_DIRTY off, lockdown).
   static const bool supported = [] {
     if (!clear_soft_dirty()) return false;
     const size_t ps = page_size();

@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace pm2::sys {
 
@@ -73,7 +72,7 @@ bool probe_readable(uintptr_t addr, size_t len);
 /// Used for the slot-store header + thread directory: a MAP_SHARED store
 /// lands in the page cache on every ordinary store instruction, so the
 /// metadata survives a `kill -9` of the process (only a machine crash
-/// needs the explicit sync).  Non-copyable, movable.
+/// needs an fdatasync of the file).  Non-copyable, movable.
 class FileMapping {
  public:
   FileMapping() = default;
@@ -92,10 +91,6 @@ class FileMapping {
   void* data() const { return data_; }
   size_t size() const { return size_; }
 
-  /// msync(MS_SYNC) the whole mapping — durability against machine crash,
-  /// not needed for kill -9 survival.
-  void sync();
-
   void release();
 
  private:
@@ -105,17 +100,8 @@ class FileMapping {
 
 /// True when the kernel's soft-dirty page tracking is usable by this
 /// process (writable /proc/self/clear_refs + pagemap bit 55 visible).
-/// Probed once with a live write-then-read self-test.
+/// Probed once with a live write-then-read self-test.  Reported as host
+/// provenance only: dirty tracking for checkpoints is sys::DirtyTracker.
 bool soft_dirty_supported();
-
-/// Reset the soft-dirty bit on every page of this process (writes "4" to
-/// /proc/self/clear_refs).  Returns false if the kernel refused.
-bool clear_soft_dirty();
-
-/// Read the soft-dirty bit for each page of [addr, addr+len): `bits` gets
-/// one byte per page (1 = written since the last clear_soft_dirty()).
-/// `addr` must be page aligned.  Returns false (and leaves `bits` empty)
-/// when pagemap is unavailable — callers fall back to full writes.
-bool read_soft_dirty(uintptr_t addr, size_t len, std::vector<uint8_t>& bits);
 
 }  // namespace pm2::sys

@@ -1,6 +1,7 @@
 // Crash-restart sessions: kill -9 a node after a slot-store checkpoint,
 // restart it against the same store file, and continue the session with
-// the recorded threads adopted back.
+// the recorded threads adopted back — whose next checkpoint round rewrites
+// only what the restore itself changed.
 //
 // Two fabrics are covered:
 //   * in-process hub — the whole 2-node session is one child process that
@@ -30,6 +31,7 @@
 #include "pm2/app.hpp"
 #include "pm2/checkpoint.hpp"
 #include "pm2/runtime.hpp"
+#include "sys/dirty_tracker.hpp"
 #include "sys/process.hpp"
 
 namespace pm2 {
@@ -117,8 +119,22 @@ void cr_inproc_child() {
     }
     CHILD_REQUIRE(rt.slot_store() != nullptr);
     CHILD_REQUIRE(rt.slot_store()->recovered());
+    // Restore with the workers gated and freeze the thread before it can
+    // run: the next round must not rewrite the image the restore has just
+    // read back (each run was protected as it was filled).
+    rt.sched().pause_workers();
     std::vector<marcel::ThreadId> ids = restore_node_from_store(rt);
     CHILD_REQUIRE(ids.size() == 1);
+    marcel::Thread* t = rt.sched().find(ids[0]);
+    CHILD_REQUIRE(t != nullptr && rt.sched().freeze(t));
+    rt.sched().resume_workers();
+    StoreCheckpointStats again = checkpoint_node_to_store(rt);
+    CHILD_REQUIRE(again.threads == 1);
+    if (sys::dirty_tracking_supported()) {
+      // Only the descriptor page the restore itself updated (flags, state).
+      CHILD_REQUIRE(again.incremental && again.bytes_written <= 4096);
+    }
+    CHILD_REQUIRE(rt.unfreeze_thread(ids[0]));
     pm2_wait_signals(1);
   });
   std::exit(0);
