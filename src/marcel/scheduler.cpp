@@ -857,11 +857,8 @@ void Scheduler::fire_expired_timers(Worker& w, uint32_t idx) {
 }
 
 uint64_t Scheduler::ns_until_next_timer() const {
-  uint64_t earliest = UINT64_MAX;
-  for (const auto& w : workers_) {
-    uint64_t e = w->earliest.load(std::memory_order_relaxed);
-    if (e < earliest) earliest = e;
-  }
+  uint64_t earliest =
+      workers_[home_worker()]->earliest.load(std::memory_order_relaxed);
   if (earliest == UINT64_MAX) return UINT64_MAX;
   uint64_t now = now_ns();
   return earliest > now ? earliest - now : 0;

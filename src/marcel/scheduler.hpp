@@ -141,11 +141,12 @@ class Scheduler {
   void block_commit(sys::SpinLock& lock) PM2_RELEASE(lock);
 
   /// Park the caller for at least `us` microseconds.  Expired timers fire
-  /// whenever control returns to the owning worker's loop; under PM2 the
-  /// comm daemon bounds its fabric waits by ns_until_next_timer(), so
-  /// wake-ups land within the fabric's wake latency of the deadline even on
-  /// an otherwise idle node.  Sleeping threads are kBlocked and therefore
-  /// not preemptively migratable, like any parked thread.
+  /// whenever control returns to the owning worker's loop.  An idle worker
+  /// parks until its own earliest timer; on worker 0 the PM2 comm daemon
+  /// bounds its fabric waits by ns_until_next_timer(), so wake-ups land
+  /// within the fabric's wake latency of the deadline even on an otherwise
+  /// idle node.  Sleeping threads are kBlocked and therefore not
+  /// preemptively migratable, like any parked thread.
   void sleep_us(uint64_t us);
 
   /// Make a blocked thread runnable again on its affinity worker (if
@@ -230,11 +231,12 @@ class Scheduler {
     return stop_requested_.load(std::memory_order_relaxed);
   }
 
-  /// Nanoseconds until the earliest sleep timer expires on *any* worker:
-  /// 0 if one is already due, UINT64_MAX if no thread is sleeping.
-  /// External event loops that park the kernel thread (the PM2 comm daemon
-  /// blocking on the fabric) bound their waits with this so timers fire on
-  /// time.
+  /// Nanoseconds until the earliest sleep timer of the calling worker
+  /// (worker 0 off the workers) expires: 0 if one is already due,
+  /// UINT64_MAX if none is armed there.  An external event loop that parks
+  /// its worker's kernel thread (the PM2 comm daemon blocking on the
+  /// fabric) bounds its wait with this so that worker's timers fire on
+  /// time; every other worker parks on its own earliest timer.
   uint64_t ns_until_next_timer() const;
 
   // --- preemption (deferred) ----------------------------------------------

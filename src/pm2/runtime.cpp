@@ -45,6 +45,19 @@ std::unique_ptr<fabric::Fabric> wrap_runtime_fabric(
                                : fabric::FaultPlan::parse(config.fault_plan);
   return fabric::wrap_with_faults(std::move(inner), plan);
 }
+
+// Atomic min: move `a` down to `v` if `v` is earlier.  True when it moved.
+bool lower_to(std::atomic<uint64_t>& a, uint64_t v) {
+  uint64_t cur = a.load();
+  while (v < cur) {
+    if (a.compare_exchange_weak(cur, v)) return true;
+  }
+  return false;
+}
+
+// Decay passes walk the pool or the thread registry: however short their
+// horizon, the upkeep schedule runs each at most once per millisecond.
+constexpr uint64_t kDecayMinPeriodNs = 1'000'000;
 }  // namespace
 
 Runtime* Runtime::current() { return t_runtime; }
@@ -420,9 +433,11 @@ void Runtime::pool_release_entry(marcel::Thread* t) {
                                  slot_ops_);
 }
 
-void Runtime::pool_decay(uint64_t now) {
-  if (config_.invocation_pool_decay_us == 0) return;
-  uint64_t horizon = config_.invocation_pool_decay_us * 1000;
+uint64_t Runtime::pool_decay(uint64_t now) {
+  if (config_.invocation_pool_decay_us == 0) return UINT64_MAX;
+  const uint64_t horizon = config_.invocation_pool_decay_us * 1000;
+  // An entry parked from now on ages out no earlier than now + horizon.
+  uint64_t next = now + horizon;
   for (auto& shard_ptr : pool_shards_) {
     PoolShard& shard = *shard_ptr;
     // LIFO vector: park times are monotone per shard, the oldest entries
@@ -433,8 +448,10 @@ void Runtime::pool_decay(uint64_t now) {
     shard.lock.lock();
     size_t n = 0;
     while (n < shard.entries.size() &&
-           now - shard.entries[n].parked_ns > horizon)
+           shard.entries[n].parked_ns + horizon <= now)
       ++n;
+    if (n < shard.entries.size())
+      next = std::min(next, shard.entries[n].parked_ns + horizon);
     if (n > 0) {
       victims.reserve(n);
       for (size_t i = 0; i < n; ++i)
@@ -446,6 +463,7 @@ void Runtime::pool_decay(uint64_t now) {
     shard.lock.unlock();
     for (marcel::Thread* t : victims) pool_release_entry(t);
   }
+  return std::max(next, now + kDecayMinPeriodNs);
 }
 
 void Runtime::pool_drain() {
@@ -602,9 +620,13 @@ bool Runtime::demote_thread(marcel::ThreadId id) {
   return ok;
 }
 
-void Runtime::store_decay(uint64_t now) {
-  if (store_ == nullptr || config_.slot_store_budget == SIZE_MAX) return;
+uint64_t Runtime::store_decay(uint64_t now) {
+  if (store_ == nullptr || config_.slot_store_budget == SIZE_MAX)
+    return UINT64_MAX;
   const uint64_t horizon = config_.slot_store_decay_us * 1000;
+  // A thread that turns cold from now on ages past the horizon no earlier
+  // than one horizon out.
+  const uint64_t next = now + std::max(horizon, kDecayMinPeriodNs);
   // Cheap racy pre-scan (no pause): is any cold thread past the horizon
   // and still resident?  Reads only age stamps and the demoted map — never
   // a demoted thread's (PROT_NONE) descriptor, because demoted threads are
@@ -619,14 +641,14 @@ void Runtime::store_decay(uint64_t now) {
     // Registered threads must be frozen to qualify; parked pool shells
     // (kDead) are cold by construction.
     if (!parked && t->state != marcel::ThreadState::kFrozen) return;
-    if (now - t->cold_ns.load(std::memory_order_relaxed) >= horizon)
+    if (t->cold_ns.load(std::memory_order_relaxed) + horizon <= now)
       candidates = true;
   };
   sched_.for_each([&](marcel::Thread* t) { prescan(t, false); });
   if (!candidates) {
     for_each_parked([&](marcel::Thread* t) { prescan(t, true); });
   }
-  if (!candidates) return;
+  if (!candidates) return next;
 
   // Authoritative pass under the worker pause: no unfreeze/re-arm/pack can
   // race the page-out.
@@ -658,7 +680,7 @@ void Runtime::store_decay(uint64_t now) {
             [](const Cand& a, const Cand& b) { return a.cold_ns < b.cold_ns; });
   for (const Cand& c : cold) {
     if (resident_cold <= config_.slot_store_budget) break;
-    if (now - c.cold_ns < horizon) break;  // sorted: the rest are younger
+    if (c.cold_ns + horizon > now) break;  // sorted: the rest are younger
     size_t before = demoted_bytes_.load(std::memory_order_relaxed);
     if (demote_locked(c.t, c.parked)) {
       resident_cold -=
@@ -666,6 +688,7 @@ void Runtime::store_decay(uint64_t now) {
     }
   }
   sched_.resume_workers();
+  return next;
 }
 
 bool Runtime::take_restore_reservation(uint64_t id) {
@@ -892,9 +915,9 @@ marcel::Future<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
     promise.set_error("session halting");
     return fut;
   }
-  pending_migrations_.emplace(
-      corr, PendingMigration{std::move(promise), dest, deadline, t, id,
-                             std::move(runs), /*shipped=*/false});
+  pending_.emplace(corr, Pending{dest, /*shipped=*/false,
+                                 MigrationWait{std::move(promise), t, id,
+                                               std::move(runs)}});
   pending_lock_.unlock();
   ++migrations_out_;
   ship_thread(*this, t, dest, corr);
@@ -902,25 +925,25 @@ marcel::Future<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
   // failure paths roll this migration back: arm the deadline and, if the
   // destination went down while we were shipping (its sweep skipped the
   // unshipped entry), fail it ourselves.
-  std::optional<PendingMigration> lost;
+  std::optional<Pending> lost;
   pending_lock_.lock();
-  if (auto it = pending_migrations_.find(corr);
-      it != pending_migrations_.end()) {  // ack may already have landed
+  if (auto it = pending_.find(corr);
+      it != pending_.end()) {  // ack may already have landed
     it->second.shipped = true;
     if (peer_down(dest)) {
       lost = std::move(it->second);
-      pending_migrations_.erase(it);
+      pending_.erase(it);
       tombstone_locked(corr);
     } else if (deadline != 0) {
-      arm_deadline_locked(corr, deadline, /*migration=*/true);
+      deadlines_.push(DeadlineEnt{deadline, corr});
     }
   }
   pending_lock_.unlock();
+  if (deadline != 0) schedule_upkeep(kUpkeepDeadlines, deadline);
   if (lost) {
     peer_down_failures_.fetch_add(1, std::memory_order_relaxed);
-    rollback_migration(std::move(*lost),
-                       std::string(kRpcPeerDownPrefix) + ": node " +
-                           std::to_string(dest) + " unreachable");
+    fail_entry(std::move(*lost), std::string(kRpcPeerDownPrefix) + ": node " +
+                                     std::to_string(dest) + " unreachable");
   }
   return fut;
 }
@@ -1066,106 +1089,48 @@ void Runtime::dispatch_rpc(uint32_t service, uint32_t src, uint64_t corr,
                        entry->thread_flags);
 }
 
-void Runtime::rpc_hash(uint32_t node, uint32_t service,
-                       mad::PackBuffer&& args) {
+void Runtime::send_rpc(uint32_t node, uint32_t service, uint64_t corr,
+                       mad::PackBuffer&& args, bool framed) {
   PM2_CHECK(node < config_.n_nodes);
   if (node == config_.node) {
-    dispatch_rpc(service, config_.node, 0, args.finalize(), 0);
+    // A framed buffer starts with the u32 service hash: skip it by offset.
+    dispatch_rpc(service, config_.node, corr, args.finalize(),
+                 framed ? sizeof(uint32_t) : 0);
     return;
   }
   fabric::Message msg;
   msg.type = kRpc;
   msg.dst = node;
-  msg.chain = rpc_chain(service, std::move(args));
-  fabric_send(std::move(msg));
-}
-
-void Runtime::rpc_framed(uint32_t node, uint32_t service,
-                         mad::PackBuffer&& framed) {
-  PM2_CHECK(node < config_.n_nodes);
-  if (node == config_.node) {
-    // The buffer starts with the u32 service hash: skip it by offset.
-    dispatch_rpc(service, config_.node, 0, framed.finalize(),
-                 sizeof(uint32_t));
-    return;
-  }
-  fabric::Message msg;
-  msg.type = kRpc;
-  msg.dst = node;
-  msg.chain = framed.take_chain();
+  msg.corr = corr;
+  msg.chain =
+      framed ? args.take_chain() : rpc_chain(service, std::move(args));
   fabric_send(std::move(msg));
 }
 
 marcel::Future<std::vector<uint8_t>> Runtime::call_async_hash(
-    uint32_t node, uint32_t service, mad::PackBuffer&& args,
+    uint32_t node, uint32_t service, mad::PackBuffer&& args, bool framed,
     uint64_t timeout_ns) {
   PM2_CHECK(node < config_.n_nodes);
-  if (halting()) {
-    marcel::Promise<std::vector<uint8_t>> p;
-    p.set_error("session halting");
-    return p.future();
-  }
-  if (node != config_.node && peer_down(node)) {
-    marcel::Promise<std::vector<uint8_t>> p;
-    p.set_error(std::string(kRpcPeerDownPrefix) + ": node " +
-                std::to_string(node) + " is down");
+  if (halting() || (node != config_.node && peer_down(node))) {
+    ReplyPromise p;
+    p.set_error(halting() ? std::string("session halting")
+                          : std::string(kRpcPeerDownPrefix) + ": node " +
+                                std::to_string(node) + " is down");
     return p.future();
   }
   uint64_t corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
   marcel::Future<std::vector<uint8_t>> fut =
       register_pending(corr, node, resolve_deadline(timeout_ns));
-  if (fut.failed()) return fut;
-  if (node == config_.node) {
-    dispatch_rpc(service, config_.node, corr, args.finalize(), 0);
-  } else {
-    fabric::Message msg;
-    msg.type = kRpc;
-    msg.dst = node;
-    msg.corr = corr;
-    msg.chain = rpc_chain(service, std::move(args));
-    fabric_send(std::move(msg));
-  }
-  return fut;
-}
-
-marcel::Future<std::vector<uint8_t>> Runtime::call_async_framed(
-    uint32_t node, uint32_t service, mad::PackBuffer&& framed,
-    uint64_t timeout_ns) {
-  PM2_CHECK(node < config_.n_nodes);
-  if (halting()) {
-    marcel::Promise<std::vector<uint8_t>> p;
-    p.set_error("session halting");
-    return p.future();
-  }
-  if (node != config_.node && peer_down(node)) {
-    marcel::Promise<std::vector<uint8_t>> p;
-    p.set_error(std::string(kRpcPeerDownPrefix) + ": node " +
-                std::to_string(node) + " is down");
-    return p.future();
-  }
-  uint64_t corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
-  marcel::Future<std::vector<uint8_t>> fut =
-      register_pending(corr, node, resolve_deadline(timeout_ns));
-  if (fut.failed()) return fut;
-  if (node == config_.node) {
-    dispatch_rpc(service, config_.node, corr, framed.finalize(),
-                 sizeof(uint32_t));
-  } else {
-    fabric::Message msg;
-    msg.type = kRpc;
-    msg.dst = node;
-    msg.corr = corr;
-    msg.chain = framed.take_chain();
-    fabric_send(std::move(msg));
-  }
+  if (!fut.failed()) send_rpc(node, service, corr, std::move(args), framed);
   return fut;
 }
 
 std::vector<uint8_t> Runtime::call(uint32_t node, const char* service_name,
                                    mad::PackBuffer&& args) {
   PM2_CHECK(marcel::Scheduler::self() != nullptr) << "call outside a thread";
-  marcel::Future<std::vector<uint8_t>> fut = call_async_hash(
-      node, service_id(service_name), std::move(args), kTimeoutFromConfig);
+  marcel::Future<std::vector<uint8_t>> fut =
+      call_async_hash(node, service_id(service_name), std::move(args),
+                      /*framed=*/false, kTimeoutFromConfig);
   fut.wait();
   if (fut.failed()) throw RpcError(fut.error());
   return fut.take();
@@ -1173,20 +1138,20 @@ std::vector<uint8_t> Runtime::call(uint32_t node, const char* service_name,
 
 marcel::Future<std::vector<uint8_t>> Runtime::register_pending(
     uint64_t corr, uint32_t dest, uint64_t deadline_ns) {
-  marcel::Promise<std::vector<uint8_t>> promise;
+  ReplyPromise promise;
   marcel::Future<std::vector<uint8_t>> fut = promise.future();
   pending_lock_.lock();
   if (halting()) {
-    // halt()'s drain already swept the map (the halting_ store precedes the
-    // drain's lock hold): an entry registered now would never complete.
+    // halt()'s drain already swept the table (the halting_ store precedes
+    // the drain's lock hold): an entry registered now would never complete.
     pending_lock_.unlock();
     promise.set_error("session halting");
     return fut;
   }
-  pending_calls_.emplace(corr,
-                         PendingCall{std::move(promise), dest, deadline_ns});
-  if (deadline_ns != 0) arm_deadline_locked(corr, deadline_ns, false);
+  pending_.emplace(corr, Pending{dest, /*shipped=*/true, std::move(promise)});
+  if (deadline_ns != 0) deadlines_.push(DeadlineEnt{deadline_ns, corr});
   pending_lock_.unlock();
+  if (deadline_ns != 0) schedule_upkeep(kUpkeepDeadlines, deadline_ns);
   return fut;
 }
 
@@ -1200,67 +1165,49 @@ void Runtime::tombstone_locked(uint64_t corr) {
   }
 }
 
-void Runtime::arm_deadline_locked(uint64_t corr, uint64_t deadline_ns,
-                                  bool migration) {
-  deadlines_.push(DeadlineEnt{deadline_ns, corr, migration});
-  // Monotonic min: the heap top only moves earlier on a push.
-  if (deadline_ns < next_deadline_ns_.load(std::memory_order_relaxed))
-    next_deadline_ns_.store(deadline_ns, std::memory_order_relaxed);
-}
-
 uint64_t Runtime::resolve_deadline(uint64_t timeout_ns) const {
   uint64_t t = timeout_ns == kTimeoutFromConfig ? rpc_timeout_ns_ : timeout_ns;
   return t == 0 ? 0 : now_ns() + t;
 }
 
-void Runtime::expire_deadlines(uint64_t now) {
-  if (next_deadline_ns_.load(std::memory_order_relaxed) > now) return;
+uint64_t Runtime::expire_deadlines(uint64_t now) {
   while (true) {
-    // Extract one due correlation at a time: resolving a promise (or
-    // rolling a migration back) runs scheduler code and must happen
-    // outside pending_lock_.
-    std::optional<PendingCall> call;
-    std::optional<PendingMigration> mig;
+    // Extract one due correlation at a time: failing it (resolving a
+    // promise, rolling a migration back) runs scheduler code and must
+    // happen outside pending_lock_.
+    std::optional<Pending> due;
     pending_lock_.lock();
     while (!deadlines_.empty() && deadlines_.top().deadline_ns <= now) {
-      DeadlineEnt e = deadlines_.top();
+      uint64_t corr = deadlines_.top().corr;
       deadlines_.pop();
-      if (e.migration) {
-        auto it = pending_migrations_.find(e.corr);
-        if (it == pending_migrations_.end()) continue;  // already resolved
-        mig = std::move(it->second);
-        pending_migrations_.erase(it);
-      } else {
-        auto it = pending_calls_.find(e.corr);
-        if (it == pending_calls_.end()) continue;  // already resolved
-        call = std::move(it->second);
-        pending_calls_.erase(it);
-      }
-      tombstone_locked(e.corr);
+      auto it = pending_.find(corr);
+      if (it == pending_.end()) continue;  // already resolved
+      due = std::move(it->second);
+      pending_.erase(it);
+      tombstone_locked(corr);
       break;
     }
-    next_deadline_ns_.store(
-        deadlines_.empty() ? UINT64_MAX : deadlines_.top().deadline_ns,
-        std::memory_order_relaxed);
+    uint64_t next =
+        deadlines_.empty() ? UINT64_MAX : deadlines_.top().deadline_ns;
     pending_lock_.unlock();
-    if (!call && !mig) return;
-    if (call) {
-      rpc_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      call->promise.set_error(std::string(kRpcTimeoutPrefix) +
-                              ": no reply from node " +
-                              std::to_string(call->dest));
-    } else {
-      rpc_timeouts_.fetch_add(1, std::memory_order_relaxed);
-      std::string why = std::string(kRpcTimeoutPrefix) +
-                        ": no install ack from node " +
-                        std::to_string(mig->dest);
-      rollback_migration(std::move(*mig), why);
-    }
+    if (!due) return next;
+    rpc_timeouts_.fetch_add(1, std::memory_order_relaxed);
+    bool migration = std::holds_alternative<MigrationWait>(due->waiter);
+    std::string why = std::string(kRpcTimeoutPrefix) + ": no " +
+                      (migration ? "install ack" : "reply") + " from node " +
+                      std::to_string(due->dest);
+    fail_entry(std::move(*due), why);
   }
 }
 
-void Runtime::rollback_migration(PendingMigration ent, const std::string& why) {
-  if (ent.thread != nullptr) {
+void Runtime::fail_entry(Pending&& ent, const std::string& why,
+                         bool rollback) {
+  auto* mig = std::get_if<MigrationWait>(&ent.waiter);
+  if (mig == nullptr) {
+    std::get<ReplyPromise>(ent.waiter).set_error(why);
+    return;
+  }
+  if (rollback) {
     migration_rollbacks_.fetch_add(1, std::memory_order_relaxed);
     // ship_thread parked the runs in the migration slot cache, which kept
     // the pages (descriptor and stack included) committed.  Reclaim the
@@ -1268,7 +1215,7 @@ void Runtime::rollback_migration(PendingMigration ent, const std::string& why) {
     // thread.  An evicted entry means the descriptor bytes are gone and no
     // rollback exists — configure migration_slot_cache to span the
     // timeout window.
-    for (auto [first, count] : ent.runs) {
+    for (auto [first, count] : mig->runs) {
       PM2_CHECK(mig_cache_take(first, count))
           << "migration rollback window lost (run " << first << "+" << count
           << " evicted from the slot cache): migration_slot_cache must "
@@ -1278,39 +1225,60 @@ void Runtime::rollback_migration(PendingMigration ent, const std::string& why) {
     // descriptor becomes runnable here again.  Locally the stack bytes,
     // flags and sanitizer state were never touched, so no install-side
     // fixups apply.
-    sched_.adopt(ent.thread);
+    sched_.adopt(mig->thread);
     PM2_WARN << "node " << config_.node << ": rolled back migration of thread "
-             << ent.thread_id << " -> node " << ent.dest << " (" << why << ")";
+             << mig->thread_id << " -> node " << ent.dest << " (" << why
+             << ")";
   }
-  ent.promise.set_error(why);
+  mig->promise.set_error(why);
+}
+
+std::optional<Runtime::Pending> Runtime::take_pending(uint64_t corr,
+                                                      const char* what) {
+  pending_lock_.lock();
+  auto it = pending_.find(corr);
+  if (it == pending_.end()) {
+    bool late = tombstones_.count(corr) != 0;
+    pending_lock_.unlock();
+    if (late) {
+      late_replies_dropped_.fetch_add(1, std::memory_order_relaxed);
+      PM2_DEBUG << "dropping late " << what << " (corr " << corr << ")";
+      return std::nullopt;
+    }
+    PM2_CHECK(halting()) << what << " with no pending waiter";
+    return std::nullopt;
+  }
+  Pending ent = std::move(it->second);
+  pending_.erase(it);
+  // Every resolved corr is tombstoned so a *duplicate* of its reply
+  // (fault injection) is also dropped silently.
+  tombstone_locked(corr);
+  pending_lock_.unlock();
+  return ent;
 }
 
 void Runtime::complete_pending(uint64_t corr, std::vector<uint8_t>&& result,
                                const char* what) {
-  if (auto p = take_pending(pending_calls_, corr, what))
-    p->promise.set_value(std::move(result));
+  if (auto p = take_pending(corr, what))
+    std::get<ReplyPromise>(p->waiter).set_value(std::move(result));
 }
 
 void Runtime::fail_pending(uint64_t corr, std::string why, const char* what) {
-  if (auto p = take_pending(pending_calls_, corr, what))
-    p->promise.set_error(std::move(why));
+  if (auto p = take_pending(corr, what)) fail_entry(std::move(*p), why);
 }
 
 void Runtime::drain_pending(const std::string& why) {
-  // Swap the maps out under the lock first: set_error unparks waiters, and
-  // a woken thread must not find its corr still registered.
+  // Swap the table out under the lock first: set_error unparks waiters,
+  // and a woken thread must not find its corr still registered.  Armed
+  // deadlines die with their entries (take_pending tolerates late replies
+  // while halting anyway).
   pending_lock_.lock();
-  auto calls = std::move(pending_calls_);
-  pending_calls_.clear();
-  auto migs = std::move(pending_migrations_);
-  pending_migrations_.clear();
-  // Armed deadlines die with their entries (take_pending tolerates late
-  // replies while halting anyway).
+  auto drained = std::move(pending_);
+  pending_.clear();
   deadlines_ = {};
-  next_deadline_ns_.store(UINT64_MAX, std::memory_order_relaxed);
   pending_lock_.unlock();
-  for (auto& [corr, ent] : calls) ent.promise.set_error(why);
-  for (auto& [corr, ent] : migs) ent.promise.set_error(why);
+  for (auto& [corr, ent] : drained)
+    fail_entry(std::move(ent), why, /*rollback=*/false);
 }
 
 void RpcContext::fail(const std::string& why) {
@@ -1505,27 +1473,23 @@ void Runtime::peer_seen(uint32_t node) {
   }
 }
 
-void Runtime::check_peers(uint64_t now) {
-  // Re-scan at a quarter of the heartbeat period: fine enough that a miss
-  // verdict lands within ~one period of its deadline, coarse enough that a
-  // busy daemon is not rescanning the table on every frame.
-  if (now < next_peer_scan_ns_) return;
-  next_peer_scan_ns_ = now + config_.heartbeat_period_ns / 4 + 1;
-  if (now >= next_heartbeat_ns_) {
-    next_heartbeat_ns_ = now + config_.heartbeat_period_ns;
-    for (uint32_t n = 0; n < config_.n_nodes; ++n) {
-      if (n == config_.node) continue;
-      // Down peers are probed too: a restarted or partition-healed peer
-      // announces itself by answering traffic, and the probe is what keeps
-      // traffic flowing to an otherwise-quiet peer.
-      fabric::Message hb;
-      hb.type = kHeartbeat;
-      hb.dst = n;
-      hb.best_effort = true;
-      fabric_->send(std::move(hb));
-      heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
-    }
+uint64_t Runtime::send_heartbeats(uint64_t now) {
+  for (uint32_t n = 0; n < config_.n_nodes; ++n) {
+    if (n == config_.node) continue;
+    // Down peers are probed too: a restarted or partition-healed peer
+    // announces itself by answering traffic, and the probe is what keeps
+    // traffic flowing to an otherwise-quiet peer.
+    fabric::Message hb;
+    hb.type = kHeartbeat;
+    hb.dst = n;
+    hb.best_effort = true;
+    fabric_->send(std::move(hb));
+    heartbeats_sent_.fetch_add(1, std::memory_order_relaxed);
   }
+  return now + config_.heartbeat_period_ns;
+}
+
+uint64_t Runtime::scan_peers(uint64_t now) {
   for (uint32_t n = 0; n < config_.n_nodes; ++n) {
     if (n == config_.node) continue;
     PeerHealth& h = peers_[n];
@@ -1543,6 +1507,9 @@ void Runtime::check_peers(uint64_t now) {
                 << " heartbeats missed)";
     }
   }
+  // A quarter period: fine enough that a miss verdict lands within about
+  // one period of its deadline, coarse enough to stay off a busy lap.
+  return now + config_.heartbeat_period_ns / 4 + 1;
 }
 
 void Runtime::mark_peer_down(uint32_t node) {
@@ -1552,43 +1519,28 @@ void Runtime::mark_peer_down(uint32_t node) {
            << config_.heartbeat_miss_limit << " heartbeats missed)";
   const std::string why = std::string(kRpcPeerDownPrefix) + ": node " +
                           std::to_string(node) + " unreachable";
-  // Sweep the correlation tables under pending_lock_; resolve the futures
-  // outside it (set_error may direct-switch to the woken thread).
-  std::vector<PendingCall> calls;
-  std::vector<PendingMigration> migs;
+  // Sweep the correlation table under pending_lock_; fail the entries
+  // outside it (set_error may direct-switch to the woken thread).  Stale
+  // deadline-heap entries for the swept correlations are popped lazily by
+  // expire_deadlines (tombstoned corr -> table miss -> skip).
+  std::vector<Pending> lost;
   pending_lock_.lock();
-  for (auto it = pending_calls_.begin(); it != pending_calls_.end();) {
-    if (it->second.dest == node) {
-      tombstone_locked(it->first);
-      calls.push_back(std::move(it->second));
-      it = pending_calls_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  for (auto it = pending_migrations_.begin();
-       it != pending_migrations_.end();) {
-    // Skip unshipped entries: the migrating worker is still mid-pack and
-    // owns the thread; its post-ship code re-checks peer_down and rolls
-    // back on its own.
+  for (auto it = pending_.begin(); it != pending_.end();) {
+    // Skip unshipped migrations: the migrating worker is still mid-pack
+    // and owns the thread; its post-ship code re-checks peer_down and
+    // rolls back on its own.
     if (it->second.dest == node && it->second.shipped) {
       tombstone_locked(it->first);
-      migs.push_back(std::move(it->second));
-      it = pending_migrations_.erase(it);
+      lost.push_back(std::move(it->second));
+      it = pending_.erase(it);
     } else {
       ++it;
     }
   }
   pending_lock_.unlock();
-  // Stale deadline-heap entries for the swept correlations are popped
-  // lazily by expire_deadlines (tombstoned corr -> map miss -> skip).
-  for (PendingCall& c : calls) {
+  for (Pending& ent : lost) {
     peer_down_failures_.fetch_add(1, std::memory_order_relaxed);
-    c.promise.set_error(why);
-  }
-  for (PendingMigration& m : migs) {
-    peer_down_failures_.fetch_add(1, std::memory_order_relaxed);
-    rollback_migration(std::move(m), why);
+    fail_entry(std::move(ent), why);
   }
   // A parked barrier can never complete without `node`: wake the waiter
   // with the error recorded instead of leaving it parked forever.
@@ -1625,7 +1577,7 @@ bool Runtime::reply_is_imminent() const {
   // whose reply is the next thing this node is waiting for — the only
   // situation where burning the idle window on a poll loop buys latency.
   sys::SpinGuard g(pending_lock_);
-  return !pending_calls_.empty() || !pending_migrations_.empty();
+  return !pending_.empty();
 }
 
 void Runtime::fabric_send(fabric::Message msg) {
@@ -1634,9 +1586,7 @@ void Runtime::fabric_send(fabric::Message msg) {
   // node), or when we already run on the comm daemon's worker: the daemon
   // is pinned to worker 0 and fabric calls contain no PM2 switch points,
   // so worker 0's threads access the fabric cooperatively serialized.
-  if (sched_.workers() == 1 || fabric_->concurrent_send_safe() ||
-      (marcel::Scheduler::current_scheduler() == &sched_ &&
-       marcel::Scheduler::current_worker() == 0)) {
+  if (fabric_->concurrent_send_safe() || on_daemon_worker()) {
     fabric_->send(std::move(msg));
     return;
   }
@@ -1660,22 +1610,68 @@ void Runtime::flush_outbox() {
   for (fabric::Message& m : batch) fabric_->send(std::move(m));
 }
 
+bool Runtime::on_daemon_worker() const {
+  return sched_.workers() == 1 ||
+         (marcel::Scheduler::current_scheduler() == &sched_ &&
+          marcel::Scheduler::current_worker() == 0);
+}
+
+void Runtime::schedule_upkeep(UpkeepTask task, uint64_t due) {
+  lower_to(upkeep_due_[task], due);
+  // A parked daemon sleeps until the earliest due it last read: one that
+  // moved earlier from another worker must cut that park short.
+  if (lower_to(upkeep_earliest_, due) && !on_daemon_worker()) fabric_->wake();
+}
+
+void Runtime::run_upkeep(uint64_t now) {
+  if (now < upkeep_earliest_.load()) return;
+  // Reopen the cache before reading the dues: a due lowered from here on
+  // lands in the cache itself, one lowered earlier is read below.  A task
+  // due is reopened the same way before its run, and schedule_upkeep's
+  // callers publish their work before lowering, so the run sees it.
+  upkeep_earliest_.store(UINT64_MAX);
+  uint64_t earliest = UINT64_MAX;
+  auto run = [&](UpkeepTask task, auto&& pass) {
+    std::atomic<uint64_t>& due = upkeep_due_[task];
+    if (due.load() <= now) {
+      due.store(UINT64_MAX);
+      lower_to(due, pass());  // the pass returns its next due time
+    }
+    earliest = std::min(earliest, due.load());
+  };
+  run(kUpkeepDeadlines, [&] { return expire_deadlines(now); });
+  run(kUpkeepHeartbeat, [&] { return send_heartbeats(now); });
+  run(kUpkeepPeerScan, [&] { return scan_peers(now); });
+  run(kUpkeepPoolDecay, [&] { return pool_decay(now); });
+  run(kUpkeepStoreDecay, [&] { return store_decay(now); });
+  lower_to(upkeep_earliest_, earliest);
+}
+
 void Runtime::comm_daemon_body() {
   // Heartbeat cap on the event-driven block: bounds the damage of any
   // missed-wakeup bug to one lap instead of a hang, at zero latency cost
   // (every frame still wakes the fabric handle immediately).
   constexpr uint64_t kIdleBlockNs = 500'000'000;
+  // Adaptive busy-poll window: when the node goes idle *while a reply or
+  // migration ack is outstanding*, poll the fabric this long (yielding the
+  // core between probes) before parking on its readiness handle.  The
+  // paper's BIP/Myrinet layer was polling-mode — a poll catches the reply
+  // without paying the blocking wake-up — but a node with nothing in
+  // flight always blocks, so idle nodes burn no CPU.
+  constexpr uint64_t kBusyPollNs = 200'000;
   // Failure detection runs on this daemon's clock: initialize every peer
   // as freshly seen so a slow-starting peer gets a full miss budget before
-  // the first suspicion.
-  const bool failure_detection = peers_ != nullptr;
-  if (failure_detection) {
-    uint64_t now = now_ns();
+  // the first suspicion.  The decay passes run on the first lap and set
+  // their own cadence from then on (UINT64_MAX when disabled).
+  const uint64_t start = now_ns();
+  if (peers_ != nullptr) {
     for (uint32_t n = 0; n < config_.n_nodes; ++n)
-      peers_[n].last_seen_ns.store(now, std::memory_order_relaxed);
-    next_heartbeat_ns_ = now + config_.heartbeat_period_ns;
-    next_peer_scan_ns_ = now;
+      peers_[n].last_seen_ns.store(start, std::memory_order_relaxed);
+    schedule_upkeep(kUpkeepHeartbeat, start + config_.heartbeat_period_ns);
+    schedule_upkeep(kUpkeepPeerScan, start);
   }
+  schedule_upkeep(kUpkeepPoolDecay, start);
+  schedule_upkeep(kUpkeepStoreDecay, start);
   while (true) {
     // A pending worker pause (audit / checkpoint quiesce) must never wait
     // on the daemon finishing a blocking lap: gate first.
@@ -1689,14 +1685,10 @@ void Runtime::comm_daemon_body() {
       handle_message(*msg);
       worked = true;
     }
-    // Deadline/heartbeat upkeep on every lap, busy or idle: a busy lap only
-    // pays one relaxed load when no deadline is armed and detection is off.
-    if (failure_detection ||
-        next_deadline_ns_.load(std::memory_order_relaxed) != UINT64_MAX) {
-      uint64_t nw = now_ns();
-      expire_deadlines(nw);
-      if (failure_detection) check_peers(nw);
-    }
+    // Upkeep on every lap, busy or idle: with nothing due it costs one
+    // compare against the cached earliest due.
+    uint64_t now = now_ns();
+    run_upkeep(now);
     if (halting() && sched_.live_count() == 0) break;
     if (worked || sched_.local_ready_count() > 0) {
       sched_.yield();
@@ -1704,28 +1696,16 @@ void Runtime::comm_daemon_body() {
     }
     // Idle node: every local thread is parked (on a reply, a timer, a
     // join).  Block on the fabric's readiness handle until a frame
-    // arrives — but never past the next sleep deadline, so marcel timers
-    // fire on time — with an adaptive busy-poll window in front only
-    // while a reply is imminent (paper-faithful polling-mode latency for
-    // RPC/migration ping-pong without spinning on truly idle nodes).
-    uint64_t now = now_ns();
-    // Idle lap: evict invocation-pool threads past the decay horizon so
-    // their stack slots rejoin the node's distribution, and demote cold
-    // frozen/parked threads over the slot-store budget to the backing file.
-    pool_decay(now);
-    store_decay(now);
-    uint64_t timer_ns = sched_.ns_until_next_timer();
+    // arrives — but never past the next upkeep due or this worker's next
+    // sleep deadline, so both fire on time — with an adaptive busy-poll
+    // window in front only while a reply is imminent (paper-faithful
+    // polling-mode latency for RPC/migration ping-pong without spinning on
+    // truly idle nodes).
     uint64_t deadline =
-        now + std::min<uint64_t>(timer_ns, kIdleBlockNs);
-    // Clamp the park to the nearest RPC/migration deadline and the next
-    // heartbeat tick: an expiry must fire on time even on a frame-silent
-    // node (satellite of the 500 ms idle cap, not a replacement for it).
-    deadline =
-        std::min(deadline, next_deadline_ns_.load(std::memory_order_relaxed));
-    if (failure_detection) deadline = std::min(deadline, next_heartbeat_ns_);
-    if (config_.comm_busy_poll_us > 0 && reply_is_imminent()) {
-      uint64_t spin_end =
-          std::min(deadline, now + config_.comm_busy_poll_us * 1000);
+        std::min(upkeep_earliest_.load(),
+                 now + std::min(sched_.ns_until_next_timer(), kIdleBlockNs));
+    if (reply_is_imminent()) {
+      uint64_t spin_end = std::min(deadline, now + kBusyPollNs);
       bool got = false;
       while (now_ns() < spin_end) {
         if (auto msg = fabric_->try_recv()) {
@@ -1836,9 +1816,10 @@ void Runtime::handle_message(fabric::Message& msg) {
       handle_migrate(msg);
       break;
     case kMigrateAck: {
-      if (auto p = take_pending(pending_migrations_, msg.corr, "migrate ack")) {
+      if (auto p = take_pending(msg.corr, "migrate ack")) {
         ByteReader r(msg.flat());
-        p->promise.set_value(MigrateResult{r.get<uint64_t>(), msg.src});
+        std::get<MigrationWait>(p->waiter).promise.set_value(
+            MigrateResult{r.get<uint64_t>(), msg.src});
       }
       break;
     }

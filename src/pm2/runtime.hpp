@@ -12,7 +12,9 @@
 // Threading model: a node's PM2 threads run on RuntimeConfig::workers
 // scheduler kernel threads (1 = the original single-kernel-thread node).
 // The comm daemon is a PM2 daemon thread pinned to worker 0; it owns the
-// fabric's receive side and dispatches control messages inline.  Runtime
+// fabric's receive side, dispatches control messages inline, and runs the
+// node's upkeep schedule (deadline expiry, heartbeats, peer scan, pool and
+// store decay) on every lap, busy or idle.  Runtime
 // state that multiple workers touch on the hot path (services, pending
 // correlations, slot bitmap, invocation pool) is guarded by short
 // sys::SpinLocks; sends from non-daemon workers go through fabric_send(),
@@ -35,6 +37,7 @@
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/log.hpp"
@@ -228,14 +231,6 @@ struct RuntimeConfig {
   /// Migration payload: ship only slot headers + live blocks/stack instead
   /// of whole slots (paper §6 optimization).  Ablation A4 toggles this.
   bool migrate_blocks_only = true;
-  /// Adaptive busy-poll window: when the node goes idle *while a reply or
-  /// migration ack is outstanding*, the comm daemon polls the fabric for
-  /// this long (yielding the core between probes) before parking on the
-  /// fabric's readiness handle.  The paper's BIP/Myrinet layer was
-  /// polling-mode — a poll catches the reply without paying the blocking
-  /// wake-up — but a node with nothing in flight always blocks, so idle
-  /// nodes burn no CPU.  0 disables the window (always block when idle).
-  uint64_t comm_busy_poll_us = 200;
   /// Migration slot cache (the paper's §6 mmapped-slot cache applied to the
   /// migration path): slots of shipped threads stay committed, and a thread
   /// migrating back into cached slots skips the commit + page-fault cycle.
@@ -254,11 +249,12 @@ struct RuntimeConfig {
   /// acquire / init_stack_slot / descriptor build.  Value = max parked
   /// threads per node; 0 disables (every invocation builds a thread).
   /// Sized to absorb a deep pipelining window (bench_rpc sweeps to 64
-  /// outstanding) — idle decay returns the slots afterwards.
+  /// outstanding) — pool decay returns the slots afterwards.
   size_t invocation_pool = 64;
-  /// Parked service threads idle longer than this are evicted by the comm
-  /// daemon (their slot run returns to the node's distribution), so a
-  /// burst does not pin stack slots forever.  0 = decay only at halt.
+  /// Parked service threads unused longer than this are evicted by the
+  /// comm daemon's upkeep schedule, busy or idle (their slot run returns to
+  /// the node's distribution), so a burst does not pin stack slots
+  /// forever.  0 = decay only at halt.
   uint64_t invocation_pool_decay_us = 200'000;
   /// Scheduler worker kernel threads per node.  0 = auto: the PM2_WORKERS
   /// environment variable if set, else 1 (the historical single-loop
@@ -269,7 +265,8 @@ struct RuntimeConfig {
   /// checkpoint_node_to_store, no crash restart).
   std::string slot_store_dir;
   /// Resident-byte budget for *cold* threads (frozen + parked): when their
-  /// committed slot bytes exceed this, the comm daemon's idle decay
+  /// committed slot bytes exceed this, the comm daemon's store-decay pass
+  /// (on its upkeep schedule, every slot_store_decay_us, busy or idle)
   /// demotes the coldest ones to the backing file until back under budget.
   /// SIZE_MAX (default) never demotes by decay — explicit demote_thread()
   /// and the checkpoint/restart paths still work.
@@ -491,7 +488,8 @@ class Runtime {
   /// Fire-and-forget by name, pre-packed args: create a thread running the
   /// service on `node`.
   void rpc(uint32_t node, const char* service_name, mad::PackBuffer&& args) {
-    rpc_hash(node, service_id(service_name), std::move(args));
+    send_rpc(node, service_id(service_name), 0, std::move(args),
+             /*framed=*/false);
   }
 
   /// Fire-and-forget by name, typed args.  Typed entry points frame the
@@ -503,7 +501,7 @@ class Runtime {
     mad::PackBuffer pb;
     pb.pack<uint32_t>(sid);
     mad::pack_values(pb, args...);
-    rpc_framed(node, sid, std::move(pb));
+    send_rpc(node, sid, 0, std::move(pb), /*framed=*/true);
   }
 
   /// Blocking request/response by name, pre-packed args: like rpc() but
@@ -524,7 +522,7 @@ class Runtime {
       uint32_t node, const char* service_name, mad::PackBuffer&& args,
       uint64_t timeout_ns = kTimeoutFromConfig) {
     return call_async_hash(node, service_id(service_name), std::move(args),
-                           timeout_ns);
+                           /*framed=*/false, timeout_ns);
   }
 
   /// Typed asynchronous call: packs `args` with mad::pack_values, returns
@@ -549,7 +547,7 @@ class Runtime {
     pb.pack<uint32_t>(sid);
     mad::pack_values(pb, args...);
     return RpcFuture<R>(
-        call_async_framed(node, sid, std::move(pb), timeout_ns));
+        call_async_hash(node, sid, std::move(pb), /*framed=*/true, timeout_ns));
   }
 
   /// Typed blocking call: call<R>(node, "name", args...) -> R.
@@ -667,9 +665,10 @@ class Runtime {
   /// Visit every parked thread (audit: parked threads still own their
   /// stack run while off the scheduler registry).
   void for_each_parked(const std::function<void(marcel::Thread*)>& fn) const;
-  /// Evict parked threads idle past the decay horizon (comm daemon calls
-  /// this on idle laps; exposed for tests).
-  void pool_decay(uint64_t now);
+  /// Evict parked threads unused past the decay horizon (a comm-daemon
+  /// upkeep task; exposed for tests).  Returns when the next entry ages
+  /// past the horizon.
+  uint64_t pool_decay(uint64_t now);
   /// Load metric used by the balancer: runnable, non-daemon threads.
   uint64_t load() const;
 
@@ -740,10 +739,11 @@ class Runtime {
   /// demoted, fault its runs back in — re-applying park poison for pool
   /// entries — and drop the demotion record.  No-op for resident threads.
   void ensure_resident(marcel::Thread* t);
-  /// Decay pass (comm daemon idle laps, beside pool_decay): demote cold
-  /// threads past slot_store_decay_us, coldest first, until resident cold
-  /// bytes fit slot_store_budget.  Exposed for tests.
-  void store_decay(uint64_t now);
+  /// Decay pass (a comm-daemon upkeep task, beside pool_decay): demote
+  /// cold threads past slot_store_decay_us, coldest first, until resident
+  /// cold bytes fit slot_store_budget.  Exposed for tests.  Returns when
+  /// the next pass is due.
+  uint64_t store_decay(uint64_t now);
 
   bool thread_demoted(marcel::ThreadId id) const;
   /// Copy a demoted thread's recorded slot runs (audit inventories demoted
@@ -789,6 +789,9 @@ class Runtime {
   struct RpcInvocation;
 
   void comm_daemon_body();
+  /// True on the comm daemon's own worker (worker 0, or the only worker):
+  /// code there runs between the daemon's laps, never while it is parked.
+  bool on_daemon_worker() const;
   /// Put any outbox-deferred sends on the wire (comm daemon only).
   void flush_outbox();
   void handle_message(fabric::Message& msg);
@@ -805,19 +808,19 @@ class Runtime {
                                     uint32_t thread_flags = 0);
 
   /// Wire-level RPC entry points keyed by the service-name hash — what
-  /// the public name-keyed overloads compile down to.  The `_hash`
-  /// variants splice the hash ahead of a caller-packed argument buffer;
-  /// the `_framed` variants take a buffer that already starts with the
-  /// u32 hash (the typed wrappers pack it in place).
-  void rpc_hash(uint32_t node, uint32_t service, mad::PackBuffer&& args);
-  void rpc_framed(uint32_t node, uint32_t service, mad::PackBuffer&& framed);
+  /// the public name-keyed overloads compile down to.  `framed` says the
+  /// buffer already starts with the u32 hash (the typed wrappers pack it
+  /// in place); otherwise the hash is spliced ahead of the caller-packed
+  /// arguments.  send_rpc dispatches locally or puts the kRpc frame on
+  /// the wire (corr 0 = fire-and-forget); call_async_hash registers the
+  /// correlation first, failing fast while halting or to a down peer.
+  void send_rpc(uint32_t node, uint32_t service, uint64_t corr,
+                mad::PackBuffer&& args, bool framed);
   marcel::Future<std::vector<uint8_t>> call_async_hash(uint32_t node,
                                                        uint32_t service,
                                                        mad::PackBuffer&& args,
+                                                       bool framed,
                                                        uint64_t timeout_ns);
-  marcel::Future<std::vector<uint8_t>> call_async_framed(
-      uint32_t node, uint32_t service, mad::PackBuffer&& framed,
-      uint64_t timeout_ns);
 
   /// Comm-daemon spin gate: true while some local thread awaits a reply
   /// or migration ack (see comm_daemon_body's adaptive busy-poll).
@@ -834,30 +837,29 @@ class Runtime {
         flags);
   }
 
-  /// An outstanding call: the promise its reply completes, plus the data
-  /// the failure paths need — which peer must answer (peer-down sweep) and
-  /// the absolute deadline, if any (0 = unbounded).
-  struct PendingCall {
-    marcel::Promise<std::vector<uint8_t>> promise;
-    uint32_t dest = 0;
-    uint64_t deadline_ns = 0;
-  };
-  /// An outstanding migration awaiting its install ack.  Carries rollback
-  /// state: the forgotten descriptor and its recorded slot runs (pages
-  /// kept committed by the migration slot cache), enough to adopt the
-  /// thread back if the ack never comes.
-  struct PendingMigration {
+  using ReplyPromise = marcel::Promise<std::vector<uint8_t>>;
+  /// A migration awaiting its install ack: the completion promise plus
+  /// rollback state — the forgotten descriptor and its recorded slot runs
+  /// (pages kept committed by the migration slot cache), enough to adopt
+  /// the thread back if the ack never comes.
+  struct MigrationWait {
     marcel::Promise<MigrateResult> promise;
-    uint32_t dest = 0;
-    uint64_t deadline_ns = 0;
     marcel::Thread* thread = nullptr;
     marcel::ThreadId thread_id = 0;
     std::vector<std::pair<size_t, size_t>> runs;
-    // The entry is registered *before* ship_thread so an early ack always
-    // finds it, but rollback is only legal once the pack/forget/send has
-    // finished — the deadline is armed and the peer-down sweep may touch
-    // the entry only after migrate_async flips this post-ship.
-    bool shipped = false;
+  };
+  /// One outstanding correlation: a call (RPC, gather, audit) awaiting its
+  /// reply or a migration awaiting its install ack.  `dest` is the node
+  /// that must answer (peer-down sweep); an armed deadline lives on the
+  /// deadline heap only.  A migration is registered *before* ship_thread
+  /// so an early ack always finds it, but rollback is only legal once the
+  /// pack/forget/send has finished — its deadline is armed and the
+  /// peer-down sweep may touch it only after migrate_async sets
+  /// `shipped`.  Calls are shipped from the start.
+  struct Pending {
+    uint32_t dest = 0;
+    bool shipped = true;
+    std::variant<ReplyPromise, MigrationWait> waiter;
   };
 
   /// Correlation bookkeeping shared by RPC replies, negotiation gathers
@@ -877,61 +879,34 @@ class Runtime {
   /// resolved and tombstoned (deadline expiry, peer-down sweep, injected
   /// duplicate — the late frame is counted and dropped), or the session is
   /// halting (a reply may race the shutdown drain).  Anything else is a
-  /// protocol bug.  Locks pending_lock_ internally; the caller resolves
-  /// the promise *outside* the lock (completion unblocks the waiter, which
-  /// may run scheduler code).
-  template <typename Map>
-  std::optional<typename Map::mapped_type> take_pending(Map& pending,
-                                                        uint64_t corr,
-                                                        const char* what) {
-    pending_lock_.lock();
-    auto it = pending.find(corr);
-    if (it == pending.end()) {
-      bool late = tombstones_.count(corr) != 0;
-      pending_lock_.unlock();
-      if (late) {
-        late_replies_dropped_.fetch_add(1, std::memory_order_relaxed);
-        PM2_DEBUG << "dropping late " << what << " (corr " << corr << ")";
-        return std::nullopt;
-      }
-      PM2_CHECK(halting()) << what << " with no pending waiter";
-      return std::nullopt;
-    }
-    typename Map::mapped_type ent = std::move(it->second);
-    pending.erase(it);
-    // Every resolved corr is tombstoned so a *duplicate* of its reply
-    // (fault injection) is also dropped silently.
-    tombstone_locked(corr);
-    pending_lock_.unlock();
-    return ent;
-  }
+  /// protocol bug.  The caller resolves the entry *outside* pending_lock_
+  /// (completion unblocks the waiter, which may run scheduler code).
+  std::optional<Pending> take_pending(uint64_t corr, const char* what);
+  /// Fail a removed entry with `why`.  A migration is first rolled back —
+  /// its thread adopted back onto this node — unless `rollback` is off
+  /// (the halt drain).  Callers hold no locks.
+  void fail_entry(Pending&& ent, const std::string& why, bool rollback = true);
 
   /// Record `corr` as resolved (bounded FIFO) so late/duplicate replies
   /// are dropped instead of double-resolving or tripping the
   /// unknown-correlation check.
   void tombstone_locked(uint64_t corr) PM2_REQUIRES(pending_lock_);
-  /// Push `corr` on the deadline heap and refresh the daemon's cached
-  /// next-deadline.  Callers only arm non-zero deadlines.
-  void arm_deadline_locked(uint64_t corr, uint64_t deadline_ns,
-                           bool migration) PM2_REQUIRES(pending_lock_);
-  /// Fail every armed correlation whose deadline passed (comm daemon;
-  /// early-outs on the cached next-deadline, so un-armed sessions pay one
-  /// relaxed load per lap).
-  void expire_deadlines(uint64_t now);
+  /// Upkeep task: fail every armed correlation whose deadline passed.
+  /// Returns the next armed deadline (UINT64_MAX when none).
+  uint64_t expire_deadlines(uint64_t now);
   /// Map a per-request timeout parameter (kTimeoutFromConfig sentinel /
   /// explicit value / 0) to an absolute deadline (0 = unbounded).
   uint64_t resolve_deadline(uint64_t timeout_ns) const;
-  /// Adopt a timed-out / peer-down migration's thread back onto this
-  /// node's scheduler and fail its future.  Callers must have removed the
-  /// entry from pending_migrations_ (tombstoned) and hold no locks.
-  void rollback_migration(PendingMigration ent, const std::string& why);
 
   /// Liveness bookkeeping (the comm daemon is the only writer): any
   /// received frame marks its sender up.
   void peer_seen(uint32_t node);
-  /// Heartbeat emission + miss detection (comm daemon laps; internally
-  /// rate-limited to a fraction of the heartbeat period).
-  void check_peers(uint64_t now);
+  /// Upkeep tasks of failure detection: send a heartbeat to every peer
+  /// (once per period), and scan for missed ones (four times per period,
+  /// so a verdict lands within about one period of its deadline).  Each
+  /// returns its next due time.
+  uint64_t send_heartbeats(uint64_t now);
+  uint64_t scan_peers(uint64_t now);
   /// Declare `node` dead: fail its pending calls with kPeerDown, roll back
   /// its in-flight migrations, and unwedge barrier/negotiation waiters.
   void mark_peer_down(uint32_t node);
@@ -1029,16 +1004,13 @@ class Runtime {
       sys::LockRank::kRuntimeMaps};
 
   // Outstanding correlations: calls awaiting a reply and migrations
-  // awaiting their install ack.  Unbounded — this is what lets one thread
-  // pipeline arbitrarily many call_async requests.  Both maps (and the
-  // corr counter's pairing with map insertion) live under pending_lock_;
-  // promises are completed outside it.
+  // awaiting their install ack, in one table.  Unbounded — this is what
+  // lets one thread pipeline arbitrarily many call_async requests.  The
+  // table (and the corr counter's pairing with insertion) lives under
+  // pending_lock_; promises are completed outside it.
   mutable sys::SpinLock pending_lock_{sys::LockRank::kRuntimeMaps};
   std::atomic<uint64_t> next_corr_{1};
-  std::unordered_map<uint64_t, PendingCall> pending_calls_
-      PM2_GUARDED_BY(pending_lock_);
-  std::unordered_map<uint64_t, PendingMigration> pending_migrations_
-      PM2_GUARDED_BY(pending_lock_);
+  std::unordered_map<uint64_t, Pending> pending_ PM2_GUARDED_BY(pending_lock_);
 
   // Resolved-correlation tombstones (bounded FIFO): late or duplicated
   // replies for these corrs are dropped, not treated as protocol bugs.
@@ -1048,15 +1020,12 @@ class Runtime {
   std::unordered_set<uint64_t> tombstones_ PM2_GUARDED_BY(pending_lock_);
   std::deque<uint64_t> tombstone_fifo_ PM2_GUARDED_BY(pending_lock_);
 
-  // Deadline machinery: min-heap of armed (non-zero) deadlines, popped
-  // lazily (an entry is live only while its corr is still pending).  The
-  // cached earliest deadline lets the comm daemon's busy laps detect
-  // expiry with one relaxed load — zero-timeout sessions keep the heap
-  // empty and the cache at UINT64_MAX, i.e. the legacy fast path.
+  // Min-heap of armed (non-zero) deadlines, popped lazily (an entry is
+  // live only while its corr is still pending).  Arming pushes here, then
+  // schedules the deadline upkeep task.
   struct DeadlineEnt {
     uint64_t deadline_ns;
     uint64_t corr;
-    bool migration;
   };
   struct DeadlineLater {
     bool operator()(const DeadlineEnt& a, const DeadlineEnt& b) const {
@@ -1065,8 +1034,31 @@ class Runtime {
   };
   std::priority_queue<DeadlineEnt, std::vector<DeadlineEnt>, DeadlineLater>
       deadlines_ PM2_GUARDED_BY(pending_lock_);
-  std::atomic<uint64_t> next_deadline_ns_{UINT64_MAX};
   uint64_t rpc_timeout_ns_ = 0;  // resolved at construction (env applied)
+
+  // The comm daemon's upkeep schedule: one task per periodic duty, each
+  // with its own next-due time (UINT64_MAX = off), and the earliest of
+  // them cached so a lap with nothing due pays one compare.  The daemon
+  // runs due tasks and parks no later than the earliest due.  Only the
+  // daemon moves a due time later (after running the task); anyone may
+  // move one earlier through schedule_upkeep.
+  enum UpkeepTask : uint8_t {
+    kUpkeepDeadlines,
+    kUpkeepHeartbeat,
+    kUpkeepPeerScan,
+    kUpkeepPoolDecay,
+    kUpkeepStoreDecay,
+    kUpkeepTasks
+  };
+  std::atomic<uint64_t> upkeep_due_[kUpkeepTasks] = {
+      UINT64_MAX, UINT64_MAX, UINT64_MAX, UINT64_MAX, UINT64_MAX};
+  std::atomic<uint64_t> upkeep_earliest_{UINT64_MAX};
+  /// Move `task`'s due time (and the cached earliest) to `due` if that is
+  /// earlier.  A caller off the daemon's worker wakes the daemon, which
+  /// may be parked past the new due time.
+  void schedule_upkeep(UpkeepTask task, uint64_t due);
+  /// Run every due upkeep task (comm daemon, every lap).
+  void run_upkeep(uint64_t now);
 
   // Peer health, lock-free by design: the sweep on a down transition takes
   // pending_lock_ (same rank as every other runtime map), so the health
@@ -1077,8 +1069,6 @@ class Runtime {
     std::atomic<uint8_t> state{0};  // PeerState
   };
   std::unique_ptr<PeerHealth[]> peers_;  // n_nodes entries; null when 1 node
-  uint64_t next_heartbeat_ns_ = 0;       // comm daemon only
-  uint64_t next_peer_scan_ns_ = 0;       // comm daemon only
   std::atomic<uint64_t> heartbeats_sent_{0};
   std::atomic<uint64_t> rpc_timeouts_{0};
   std::atomic<uint64_t> late_replies_dropped_{0};

@@ -6,7 +6,7 @@
 //   * FaultPlan grammar and FaultFabric mutation counters over a raw
 //     in-process hub (no runtime);
 //   * a deadlined call against a partitioned peer fails kTimeout within
-//     2x the deadline;
+//     2x the deadline, also when armed off the comm daemon's worker;
 //   * a reply arriving after the deadline is dropped by the correlation
 //     tombstone (counter increments, no double-resolve);
 //   * a timed-out migration rolls back: the thread is runnable at the
@@ -221,6 +221,60 @@ TEST(FaultInjection, DeadlinedCallToPartitionedPeerTimesOutWithinTwice) {
   EXPECT_LT(elapsed.load(), 2 * kDeadlineNs);
   EXPECT_EQ(timeouts.load(), 1u);
   EXPECT_GE(dropped.load(), 1u);
+}
+
+// A deadline armed off the comm daemon's worker.  The caller is stolen off
+// worker 0 and busy-yields there, so the daemon has nothing to do and
+// parks on its idle cap (pool decay is off, so no upkeep task bounds the
+// park).  Arming the deadline must wake the daemon to re-arm its park.
+struct OffWorkerCall {
+  std::atomic<bool> off_worker0{false};
+  std::atomic<uint64_t> elapsed{0};
+  std::atomic<int> code{-1};
+};
+OffWorkerCall g_off_worker_call;
+
+void call_from_another_worker(void*) {
+  OffWorkerCall& r = g_off_worker_call;
+  uint64_t t0 = now_ns();
+  while (marcel::Scheduler::current_worker() == 0 &&
+         now_ns() - t0 < 2'000'000'000)
+    pm2_yield();
+  r.off_worker0 = marcel::Scheduler::current_worker() != 0;
+  uint64_t busy_until = now_ns() + 50'000'000;
+  while (now_ns() < busy_until) pm2_yield();
+  uint64_t t1 = now_ns();
+  try {
+    Runtime::current()->call_within<int>(200'000'000, 1, "echo", 7);
+  } catch (const RpcError& e) {
+    r.code = static_cast<int>(rpc_error_code(e.what()));
+  }
+  r.elapsed = now_ns() - t1;
+}
+
+TEST(FaultInjection, DeadlineArmedOffTheDaemonWorkerFiresOnTime) {
+  constexpr uint64_t kDeadlineNs = 200'000'000;
+  OffWorkerCall& r = g_off_worker_call;
+  r.off_worker0 = false;
+  r.elapsed = 0;
+  r.code = -1;
+  AppConfig cfg;
+  cfg.nodes = 2;
+  cfg.rt.workers = 4;
+  if (cfg.rt.resolved_workers() < 2) GTEST_SKIP() << "needs two workers";
+  cfg.rt.invocation_pool_decay_us = 0;
+  cfg.rt.fault_plan = "drop@1=1,seed=3";
+  run_app(
+      cfg,
+      [&](Runtime& rt) {
+        if (rt.self() != 0) return;
+        pm2_join(rt.spawn(&call_from_another_worker, nullptr, "caller"));
+      },
+      [&](Runtime& rt) { rt.service("echo", &echo_service); });
+  EXPECT_TRUE(r.off_worker0.load()) << "the caller was never stolen";
+  EXPECT_EQ(r.code.load(), static_cast<int>(RpcErrorCode::kTimeout));
+  EXPECT_GE(r.elapsed.load(), kDeadlineNs - 5'000'000);
+  EXPECT_LT(r.elapsed.load(), 2 * kDeadlineNs);
 }
 
 TEST(FaultInjection, LateReplyAfterTimeoutIsTombstoned) {

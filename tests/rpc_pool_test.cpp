@@ -5,7 +5,7 @@
 //   * a burst beyond the pool bound falls back to the cold build path and
 //     the pool stays bounded;
 //   * parked threads release their slot runs at halt (no leak) and on
-//     idle decay;
+//     decay, whether the node is idle or busy;
 //   * a pool-spawned thread that migrates is lazily evicted — the install
 //     side never parks a foreign run, and nothing double-releases.
 #include <gtest/gtest.h>
@@ -153,7 +153,7 @@ TEST(InvocationPool, HaltReleasesParkedThreadSlots) {
 }
 
 // Idle decay: parked threads past the horizon are evicted by the comm
-// daemon's idle laps and their slots rejoin the node's distribution.
+// daemon's pool-decay pass and their slots rejoin the node's distribution.
 TEST(InvocationPool, IdleDecayEvictsParkedThreads) {
   g_evictions = 0;
   g_pool_size = 0;
@@ -171,6 +171,38 @@ TEST(InvocationPool, IdleDecayEvictsParkedThreads) {
         pm2_sleep_us(20'000);
         g_evictions = rt.pool_evictions();
         g_pool_size = rt.pool_size();
+      },
+      [](Runtime& rt) {
+        rt.service("inc", [](RpcContext&, int v) -> int { return v + 1; });
+      });
+  EXPECT_EQ(g_evictions.load(), 1u);
+  EXPECT_EQ(g_pool_size.load(), 0u);
+}
+
+// Pool decay is an upkeep task of the comm daemon, run on busy laps too: a
+// thread that keeps the node busy (a yield loop) must not pin a parked
+// thread past the horizon.
+TEST(InvocationPool, DecayEvictsParkedThreadsOnABusyNode) {
+  g_evictions = 0;
+  g_pool_size = 0;
+  AppConfig cfg;
+  cfg.nodes = 1;
+  cfg.rt.invocation_pool_decay_us = 1000;  // 1 ms horizon
+  run_app(
+      cfg,
+      [&](Runtime& rt) {
+        ASSERT_EQ(rt.call<int>(0, "inc", 1), 2);
+        EXPECT_EQ(rt.pool_size(), 1u);
+        std::atomic<bool> stop{false};
+        marcel::ThreadId spinner = rt.spawn_local([&] {
+          while (!stop.load()) pm2_yield();
+        });
+        pm2_sleep_us(20'000);
+        pm2_sleep_us(20'000);
+        g_evictions = rt.pool_evictions();
+        g_pool_size = rt.pool_size();
+        stop = true;
+        pm2_join(spinner);  // `stop` lives on this frame
       },
       [](Runtime& rt) {
         rt.service("inc", [](RpcContext&, int v) -> int { return v + 1; });
