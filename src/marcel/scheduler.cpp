@@ -615,20 +615,14 @@ void mark_frozen(Thread* t) {
 
 bool Scheduler::freeze(Thread* t) {
   if (t == nullptr || t == self()) return false;
-  // Quiesced tier: single worker, or this worker holds the pause gate —
-  // every peer is parked at its loop top, so the caller may scrub the
-  // owning worker's containers as a pseudo-owner.  Guaranteed for any
-  // kReady thread; callers that must not fail (checkpoint, store decay)
-  // wrap in pause_workers(), same contract as before.
-  bool quiesced =
-      n_workers_ == 1 ||
-      (t_scheduler == this && t_worker != kNoWorker &&
-       pause_requested_.load(std::memory_order_relaxed) &&
-       pauser_worker_.load(std::memory_order_relaxed) == t_worker);
-  return quiesced ? freeze_quiesced(t) : freeze_opportunistic(t);
-}
-
-bool Scheduler::freeze_quiesced(Thread* t) {
+  // Single worker, or this worker holds the pause gate: every peer is
+  // parked at its loop top, so the caller may scrub the owning worker's
+  // containers as a pseudo-owner.  Guaranteed for any kReady thread.
+  PM2_CHECK(n_workers_ == 1 ||
+            (t_scheduler == this && t_worker != kNoWorker &&
+             pause_requested_.load(std::memory_order_relaxed) &&
+             pauser_worker_.load(std::memory_order_relaxed) == t_worker))
+      << "freeze() at workers > 1 needs the caller's pause_workers() gate";
   for (int attempt = 0; attempt < 8; ++attempt) {
     if (t->state.load(std::memory_order_acquire) != ThreadState::kReady)
       return false;
@@ -705,61 +699,6 @@ bool Scheduler::freeze_quiesced(Thread* t) {
     // Quiesced means the pusher is this same caller's earlier stale read;
     // re-read and retry (defensive — should not happen in practice).
     sys::cpu_relax();
-  }
-  return false;
-}
-
-bool Scheduler::freeze_opportunistic(Thread* t) {
-  // Un-gated tier (workers > 1): Runtime::migrate/migrate_async freeze
-  // without pausing the node.  Act as a *targeted thief*: the Chase-Lev
-  // top CAS and the mailbox exchange hand over elements exactly once, so
-  // winning one for the target makes this caller its sole owner — no
-  // tombstones, no racing dispatcher.  Threads hiding in the pinned FIFO
-  // are unreachable here (they refuse migration anyway); inbox residents
-  // are flushed by waking the owner and retrying.  Bounded: may fail under
-  // churn, exactly as the old try_lock scan could.
-  sys::Backoff bo(sys::Backoff::Config{
-      .start_us = 10, .cap_us = 1'000, .seed = t->id});
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    if (t->state.load(std::memory_order_acquire) != ThreadState::kReady)
-      return false;
-    // Relaxed hint: a concurrent re-push may be rewriting this.  A stale
-    // read targets the wrong worker's containers, finds nothing (the
-    // exactly-once removal is authoritative), and retries.
-    uint32_t qw = t->queue_worker.load(std::memory_order_relaxed);
-    if (qw >= n_workers_) return false;
-    Worker& w = *workers_[qw];
-    // Mailbox probe.
-    if (w.handoff.load(std::memory_order_acquire) == t) {
-      Thread* e = t;
-      if (w.handoff.compare_exchange_strong(e, nullptr,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_relaxed)) {
-        w.ready.fetch_sub(1);
-        mark_frozen(t);
-        return true;
-      }
-      continue;
-    }
-    // Steal from the victim's top until the target surfaces; innocent
-    // bystanders keep running — re-pushed onto the caller's own worker.
-    size_t n_elems = w.deque.size();
-    for (size_t i = 0; i <= n_elems; ++i) {
-      Thread* x = w.deque.steal();
-      if (x == nullptr) break;
-      w.ready.fetch_sub(1);
-      if (x == t) {
-        mark_frozen(t);
-        return true;
-      }
-      push_ready(x, home_worker());
-    }
-    // Possibly inbox-resident: kick the owner to drain, then retry.
-    wake_worker(qw);
-    if (attempt < 8)
-      sys::cpu_relax();
-    else
-      bo.sleep();
   }
   return false;
 }

@@ -168,24 +168,14 @@ class Scheduler {
 
   // --- migration support ---------------------------------------------------
 
-  /// Freeze a non-running thread: take it out of its worker's ready
-  /// containers.  Its context is already fully saved on its stack (that is
-  /// the invariant of every non-running thread).  Fails (returns false) if
-  /// the thread is blocked on a local wait queue — migrating it would leave
-  /// a dangling queue link — is currently dispatched on some worker, or is
-  /// the caller itself.
-  ///
-  /// Two tiers since the lock-free rework:
-  ///   * quiesced (workers == 1, or the caller holds the pause gate): the
-  ///     caller scrubs the owning worker's containers directly — guaranteed
-  ///     for any kReady thread, pinned included.  Callers that must not
-  ///     fail wrap this in pause_workers(), same contract as before.
-  ///   * opportunistic (workers > 1, no gate): the freezer acts as a
-  ///     targeted thief — it steals from the owning worker's deque top,
-  ///     re-pushing threads that are not the target onto its own worker,
-  ///     until the top CAS hands it the target (exactly-once, so no
-  ///     tombstones and no use-after-free window).  Bounded retries; may
-  ///     fail under churn, as the old try_lock-based scan could.
+  /// Freeze a READY thread: take it out of its worker's ready containers.
+  /// Its context is already fully saved on its stack (that is the
+  /// invariant of every non-running thread).  At workers > 1 the caller
+  /// must hold the pause gate (pause_workers()), so no peer can dispatch
+  /// or steal the thread mid-scrub; the call CHECK-fails otherwise.
+  /// Returns false only if the thread is not kReady — blocked on a local
+  /// wait queue (migrating it would leave a dangling queue link), already
+  /// frozen — or is the caller itself.
   bool freeze(Thread* t);
 
   /// Re-enqueue a frozen thread locally (the freeze was provisional — e.g.
@@ -371,8 +361,6 @@ class Scheduler {
   void claim(Thread* t, uint32_t idx);
   Thread* pop_local(Worker& w, uint32_t idx);
   Thread* try_steal(uint32_t thief);
-  bool freeze_quiesced(Thread* t);
-  bool freeze_opportunistic(Thread* t);
   void fire_expired_timers(Worker& w, uint32_t idx);
   void idle_park(Worker& w, uint32_t idx);
   void wake_worker(uint32_t w);

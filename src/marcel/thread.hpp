@@ -125,11 +125,7 @@ struct Thread {
   /// Worker whose ready containers (deque / pinned FIFO / inbox / handoff
   /// mailbox) currently hold the thread.  Written before the kReady
   /// release-store in push_ready, so a reader that acquires state == kReady
-  /// sees a matching value.  Atomic (relaxed) because an un-gated freezer
-  /// reads it while a later push_ready may be rewriting it concurrently —
-  /// there it is only a targeting *hint*, re-validated by the container's
-  /// exactly-once removal (top CAS / mailbox exchange), so a stale value
-  /// costs a retry, never correctness.
+  /// sees a matching value; freeze() reads it under the pause gate.
   std::atomic<uint32_t> queue_worker{0};
   /// Worker whose kernel thread parked san_fake_stack: the handle belongs
   /// to that thread's fake-stack allocator, so a resume on a different

@@ -1,5 +1,6 @@
 #include "pm2/load_balancer.hpp"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/time.hpp"
@@ -37,16 +38,24 @@ void balancer_loop(Runtime& rt, LoadBalancerConfig cfg) {
     }
     if (victim == rt.self() || my < victim_load + cfg.imbalance_threshold)
       continue;
+    // Move at most half the gap: shipping more inverts the imbalance, and
+    // the two nodes then bounce the same threads back and forth.
+    const uint64_t budget = std::min<uint64_t>(cfg.max_migrations_per_round,
+                                               (my - victim_load) / 2);
+    if (budget == 0) continue;
 
     // Collect migratable candidates: READY, not pinned, not the balancer.
+    // A demoted thread is frozen and its descriptor PROT_NONE: skip it
+    // before any field read.
     std::vector<marcel::ThreadId> candidates;
     sched.for_each([&](marcel::Thread* t) {
+      if (rt.demoted_info(t, nullptr, nullptr)) return;
       if (t->state == marcel::ThreadState::kReady && !t->is_pinned())
         candidates.push_back(t->id);
     });
     uint32_t shipped = 0;
     for (marcel::ThreadId id : candidates) {
-      if (shipped >= cfg.max_migrations_per_round) break;
+      if (shipped >= budget) break;
       if (rt.migrate(id, victim)) ++shipped;
     }
     if (shipped > 0) {

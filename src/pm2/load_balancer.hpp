@@ -18,7 +18,8 @@ struct LoadBalancerConfig {
   uint64_t period_us = 2000;
   /// Migrate only if our load exceeds the victim's by more than this.
   uint64_t imbalance_threshold = 2;
-  /// Cap on threads shipped per decision round.
+  /// Cap on threads shipped per decision round.  A round also never ships
+  /// more than half the load gap, so it cannot invert the imbalance.
   uint32_t max_migrations_per_round = 1;
 };
 

@@ -838,24 +838,34 @@ void Runtime::migrate_self(uint32_t dest) {
   // deliberately no member access past this point.
 }
 
+marcel::Thread* Runtime::freeze_for_migration(marcel::ThreadId id) {
+  sched_.pause_workers();
+  marcel::Thread* t = sched_.find(id);
+  if (t != nullptr) {
+    // A demoted thread's descriptor is PROT_NONE: fault it back before any
+    // field access.  (Registry + demoted ⇒ frozen, so this is the
+    // freeze → demote → migrate tier cycle; the pack reads the runs.)
+    ensure_resident(t);
+    if (t->is_pinned() ||
+        (t->state != marcel::ThreadState::kFrozen && !sched_.freeze(t)))
+      t = nullptr;
+  }
+  sched_.resume_workers();
+  return t;
+}
+
 bool Runtime::migrate(marcel::ThreadId id, uint32_t dest) {
   PM2_CHECK(dest < config_.n_nodes);
   marcel::Thread* t = sched_.find(id);
   if (t == nullptr) return false;
-  // A demoted thread's descriptor is PROT_NONE: fault it back before any
-  // field access.  (Registry + demoted ⇒ frozen, so this is the
-  // freeze → demote → migrate tier cycle; the pack below reads the runs.)
-  ensure_resident(t);
-  if (t->is_pinned()) return false;
   if (dest == config_.node) return true;  // already there
-  if (t == marcel::Scheduler::self()) {
+  if (t == marcel::Scheduler::self()) {  // running: never takes the gate
+    if (t->is_pinned()) return false;
     migrate_self(dest);
     return true;
   }
-  if (t->state != marcel::ThreadState::kFrozen &&  // caller-frozen: ship as is
-      !sched_.freeze(t)) {
-    return false;  // running or blocked
-  }
+  t = freeze_for_migration(id);
+  if (t == nullptr) return false;
   ++migrations_out_;
   ship_thread(*this, t, dest);
   return true;
@@ -881,7 +891,6 @@ marcel::Future<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
     promise.set_error("no such thread on this node");
     return fut;
   }
-  ensure_resident(t);  // demoted descriptor is PROT_NONE until faulted back
   if (dest == config_.node) {
     promise.set_value(MigrateResult{id, dest});  // already there
     return fut;
@@ -890,9 +899,9 @@ marcel::Future<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
     promise.set_error("migrate_async cannot move the caller; use migrate_self");
     return fut;
   }
-  if (t->is_pinned() ||
-      (t->state != marcel::ThreadState::kFrozen && !sched_.freeze(t))) {
-    promise.set_error("thread not migratable (pinned, running, or blocked)");
+  t = freeze_for_migration(id);
+  if (t == nullptr) {
+    promise.set_error("thread not migratable (pinned or blocked)");
     return fut;
   }
   uint64_t deadline = resolve_deadline(timeout_ns);

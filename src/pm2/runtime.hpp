@@ -411,15 +411,21 @@ class Runtime {
   /// Migrate the calling thread to `dest`; returns executing on `dest`.
   void migrate_self(uint32_t dest);
 
-  /// Preemptively migrate thread `id` (must be READY on this node and not
-  /// pinned).  "The threads are unaware of their being migrated" (§2).
+  /// Preemptively migrate thread `id` (READY or caller-frozen on this node,
+  /// not pinned).  "The threads are unaware of their being migrated" (§2):
+  /// the freeze runs under the worker pause, so a READY thread migrates
+  /// even if another worker was about to dispatch it; only unknown,
+  /// pinned or blocked threads fail.  `id` may be the caller, which then
+  /// moves itself through migrate_self().  `dest` == this node succeeds
+  /// for any thread that lives here.
   bool migrate(marcel::ThreadId id, uint32_t dest);
 
   /// Preemptive migration with a completion future: the destination node
   /// sends a kMigrateAck once the thread is installed there, completing
   /// the future *after* the destination's migrations_in() already counts
   /// the arrival.  Fails the future (never CHECKs) when the thread is
-  /// unknown, pinned, running, blocked, or the session is halting.
+  /// unknown, pinned, blocked, the caller itself, or the session is
+  /// halting.  Freezes under the worker pause, like migrate().
   ///
   /// `timeout_ns` bounds the wait for the install ack (default: the
   /// configured rpc_timeout_ns; 0 = unbounded).  On expiry — or when the
@@ -797,6 +803,12 @@ class Runtime {
   void handle_message(fabric::Message& msg);
   void handle_rpc(fabric::Message& msg);
   void handle_migrate(fabric::Message& msg);
+  /// The preemptive half of migrate()/migrate_async(), under the worker
+  /// pause so a READY thread cannot be dispatched between the lookup and
+  /// the freeze: find `id`, fault it back if demoted, and freeze it (a
+  /// caller-frozen thread is taken as is).  nullptr when `id` is gone,
+  /// pinned or blocked.
+  marcel::Thread* freeze_for_migration(marcel::ThreadId id);
 
   /// Shared service dispatch (local invocations and received kRpc frames):
   /// looks the hash up and spawns the service thread.  Unknown service:

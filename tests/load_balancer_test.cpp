@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <filesystem>
+#include <string>
 
+#include "common/time.hpp"
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
 #include "pm2/runtime.hpp"
@@ -93,6 +97,72 @@ TEST(LoadBalancer, RespectsThreshold) {
     }
     rt.barrier();
   });
+  EXPECT_EQ(moved.load(), 0u);
+}
+
+// A demoted thread is frozen with a PROT_NONE descriptor: the balancer's
+// candidate walk must skip it without a single field read (it used to read
+// `state` and fault), and must leave it demoted.
+std::atomic<int> g_parked_started{0};
+std::atomic<bool> g_parked_release{false};
+
+void parked_worker(void*) {
+  ++g_parked_started;
+  // Bounded: if the test body bails out before unfreezing us, fail red
+  // instead of keeping the session alive forever.
+  const uint64_t deadline = now_ns() + 20'000'000'000ull;
+  while (!g_parked_release.load() && now_ns() < deadline) pm2_yield();
+  EXPECT_TRUE(g_parked_release.load()) << "parked worker was never released";
+  pm2_signal(0);
+}
+
+TEST(LoadBalancer, SkipsDemotedThreads) {
+  constexpr int kParked = 3;
+  g_parked_started = 0;
+  g_parked_release = false;
+  char tmpl[] = "/tmp/pm2-store-XXXXXX";
+  ASSERT_NE(::mkdtemp(tmpl), nullptr);
+  const std::string dir = tmpl;
+  std::atomic<int> stayed_demoted{0};
+  std::atomic<uint64_t> moved{0};
+  AppConfig cfg;
+  cfg.nodes = 2;
+  cfg.rt.slot_store_dir = dir;
+  run_app(cfg, [&](Runtime& rt) {
+    marcel::ThreadId ids[kParked] = {};
+    bool frozen[kParked] = {};
+    if (rt.self() == 0) {
+      for (auto& id : ids)
+        id = pm2_thread_create(&parked_worker, nullptr, "parked");
+      while (g_parked_started.load() < kParked) pm2_yield();
+      for (int i = 0; i < kParked; ++i) {
+        frozen[i] = rt.freeze_thread(ids[i]);
+        EXPECT_TRUE(frozen[i] && rt.demote_thread(ids[i]));
+      }
+    }
+    rt.barrier();
+    // Node 0 carries kParked more live threads than node 1, so with no
+    // threshold every round walks node 0's registry for candidates.
+    LoadBalancerConfig lb;
+    lb.period_us = 500;
+    lb.imbalance_threshold = 0;
+    LoadBalancer::start(rt, lb);
+    pm2_sleep_us(50'000);
+    rt.barrier();
+    if (rt.self() == 0) {
+      moved = rt.migrations_out();
+      for (int i = 0; i < kParked; ++i) {
+        if (rt.thread_demoted(ids[i])) ++stayed_demoted;
+        if (frozen[i]) {
+          EXPECT_TRUE(rt.unfreeze_thread(ids[i]));
+        }
+      }
+      g_parked_release = true;
+      pm2_wait_signals(kParked);
+    }
+  });
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(stayed_demoted.load(), kParked);
   EXPECT_EQ(moved.load(), 0u);
 }
 

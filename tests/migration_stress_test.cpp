@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "common/random.hpp"
+#include "common/time.hpp"
 #include "isomalloc/heap.hpp"
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
@@ -182,7 +183,11 @@ void pack_probe_worker(void* arg) {
   auto* heap_bytes = static_cast<uint8_t*>(pm2_isomalloc(200 * 1024));
   std::memset(heap_bytes, 0x7E, 200 * 1024);
   *static_cast<void**>(arg) = heap_bytes;
-  while (!g_pack_stop.load()) pm2_yield();
+  // Bounded: if the test body bails out before releasing us, fail red
+  // instead of keeping the session alive forever.
+  const uint64_t deadline = now_ns() + 20'000'000'000ull;
+  while (!g_pack_stop.load() && now_ns() < deadline) pm2_yield();
+  EXPECT_TRUE(g_pack_stop.load()) << "probe was never released";
   pm2_isofree(heap_bytes);
   pm2_signal(0);
 }
@@ -198,9 +203,9 @@ TEST(MigrationZeroCopy, PackChainBorrowsSlotMemory) {
         pm2_thread_create(&pack_probe_worker, &probe_data, "probe");
     while (probe_data == nullptr) pm2_yield();
 
+    ASSERT_TRUE(rt.freeze_thread(id));
     marcel::Thread* t = rt.sched().find(id);
     ASSERT_NE(t, nullptr);
-    ASSERT_TRUE(rt.sched().freeze(t));
 
     for (bool blocks_only : {true, false}) {
       mad::BufferChain chain = pack_thread_chain(rt, t, blocks_only);
@@ -214,7 +219,7 @@ TEST(MigrationZeroCopy, PackChainBorrowsSlotMemory) {
       EXPECT_EQ(chain.take_flat(), pack_thread(rt, t, blocks_only));
     }
 
-    rt.sched().unfreeze(t);
+    EXPECT_TRUE(rt.unfreeze_thread(id));
     g_pack_stop = true;
     pm2_wait_signals(1);
     rt.join(id);

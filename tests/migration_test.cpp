@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstring>
 
+#include "common/time.hpp"
 #include "isomalloc/heap.hpp"
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
@@ -30,6 +31,15 @@ std::atomic<int> g_value{0};
                  __LINE__);                                   \
     }                                                         \
   } while (0)
+
+// Yield until the calling thread has been moved off node 0.  Bounded: if
+// the test body bails out before moving it, record a failure and go on
+// instead of keeping the session alive forever.
+void yield_until_moved() {
+  const uint64_t deadline = now_ns() + 20'000'000'000ull;
+  while (pm2_self() == 0 && now_ns() < deadline) pm2_yield();
+  MIG_EXPECT(pm2_self() != 0);
+}
 
 AppConfig mig_config(uint32_t nodes) {
   AppConfig cfg;
@@ -151,7 +161,7 @@ TEST(Migration, PingPongTwentyRounds) {
 
 void oblivious_worker(void*) {
   // Compute-and-yield loop; never asks to migrate.
-  while (pm2_self() == 0) pm2_yield();
+  yield_until_moved();
   // Someone moved us.
   MIG_EXPECT(pm2_self() == 1);
   pm2_signal(0);
@@ -162,14 +172,11 @@ TEST(Migration, PreemptiveMigrationOfReadyThread) {
   run_app(mig_config(2), [&](Runtime& rt) {
     if (rt.self() == 0) {
       auto id = pm2_thread_create(&oblivious_worker, nullptr, "oblivious");
-      // Let it start, then migrate it out from under its feet.
+      // Let it start, then migrate it out from under its feet.  The freeze
+      // runs under the worker pause, so a READY thread moves on the first
+      // try even when another worker was about to dispatch it.
       pm2_yield();
-      bool moved = false;
-      for (int tries = 0; tries < 100 && !moved; ++tries) {
-        moved = rt.migrate(id, 1);
-        if (!moved) pm2_yield();
-      }
-      EXPECT_TRUE(moved);
+      EXPECT_TRUE(rt.migrate(id, 1));
       pm2_wait_signals(1);
     }
   });
@@ -314,34 +321,37 @@ TEST(Migration, MigrateToSelfIsNoop) {
 
 // --- Pack/install unit-level checks ------------------------------------------
 
+std::atomic<bool> g_allocated{false};
+
 void sleeper_worker(void*) {
-  // Allocate, then yield forever until moved; used to inspect payloads.
+  // Allocate, then yield until moved; used to inspect payloads.
   void* p = pm2_isomalloc(10000);
   std::memset(p, 0x55, 10000);
-  while (pm2_self() == 0) pm2_yield();
+  g_allocated = true;
+  yield_until_moved();
   pm2_isofree(p);
   pm2_signal(0);
 }
 
 TEST(Migration, BlocksOnlyPayloadIsSmaller) {
+  g_ok = true;
+  g_allocated = false;
   std::atomic<size_t> full{0}, sparse{0};
   run_app(mig_config(2), [&](Runtime& rt) {
     if (rt.self() == 0) {
       auto id = pm2_thread_create(&sleeper_worker, nullptr, "sleeper");
-      pm2_yield();  // let it allocate and park in its yield loop
-      pm2_yield();
+      while (!g_allocated.load()) pm2_yield();  // let it allocate
+      ASSERT_TRUE(rt.freeze_thread(id));
       marcel::Thread* t = rt.sched().find(id);
       ASSERT_NE(t, nullptr);
-      ASSERT_TRUE(rt.sched().freeze(t));
       full = migration_payload_size(rt, t, /*blocks_only=*/false);
       sparse = migration_payload_size(rt, t, /*blocks_only=*/true);
-      // Un-freeze by re-adopting locally, then actually ship it.
-      rt.sched().forget(t);
-      rt.sched().adopt(t);
+      // Then actually ship it: a caller-frozen thread migrates as is.
       ASSERT_TRUE(rt.migrate(id, 1));
       pm2_wait_signals(1);
     }
   });
+  EXPECT_TRUE(g_ok.load());
   // Whole-slot payload: stack slot (64K) + heap slot (64K).  Sparse: live
   // stack + headers + one 10 KB block.
   EXPECT_GT(full.load(), 120u * 1024);

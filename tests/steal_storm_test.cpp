@@ -167,22 +167,23 @@ TEST(StealStorm, HandoffPingPongWorkers1) { run_pingpong(1, 2, 300); }
 
 TEST(StealStorm, HandoffPingPongWorkers4) { run_pingpong(4, 8, 300); }
 
-// --- opportunistic freeze under the storm ----------------------------------
-// Un-gated freeze at workers > 1 is the targeted-thief tier: it must hold
-// the exactly-once property (the frozen thread is in no container, nobody
-// dispatches it) even while thieves fight over the same deques.  It MAY
-// fail under churn — the assertion is that attempts succeed often enough
-// and that no victim is ever lost or run twice.
+// --- gated freeze under the storm -------------------------------------------
+// freeze() at workers > 1 runs under the pause gate: with every peer parked
+// at its loop top, a victim found READY is in exactly one container, so the
+// freeze must succeed every time — no lost race, however hard thieves fight
+// over the deques.  A frozen victim is in no container: once the workers
+// run again, nobody may dispatch it until it is unfrozen.
 
-struct OppCtx {
+struct FreezeCtx {
   std::atomic<bool> done{false};
   std::atomic<uint64_t>* laps;
   int n_victims;
+  int ready_seen = 0;
   int freezes = 0;
 };
 
-void opp_churn_entry(void* arg) {
-  auto* c = static_cast<OppCtx*>(arg);
+void victim_entry(void* arg) {
+  auto* c = static_cast<FreezeCtx*>(arg);
   int self = static_cast<int>(Scheduler::self()->id) - 1;
   while (!c->done.load(std::memory_order_relaxed)) {
     c->laps[self].fetch_add(1, std::memory_order_relaxed);
@@ -191,48 +192,53 @@ void opp_churn_entry(void* arg) {
   exit_now();
 }
 
-void opp_controller(void* arg) {
-  auto* c = static_cast<OppCtx*>(arg);
+void freeze_controller(void* arg) {
+  auto* c = static_cast<FreezeCtx*>(arg);
   Scheduler* s = Scheduler::current_scheduler();
   for (int round = 0; round < 200; ++round) {
-    Thread* t =
-        s->find(static_cast<ThreadId>(round % c->n_victims + 1));
-    // No pause_workers(): this exercises freeze_opportunistic.
-    if (t != nullptr && s->freeze(t)) {
-      ++c->freezes;
-      // While frozen the victim is in no container: its lap counter must
-      // not advance.
-      int idx = static_cast<int>(t->id) - 1;
-      uint64_t before = c->laps[idx].load(std::memory_order_relaxed);
-      for (int spin = 0; spin < 20; ++spin) s->yield();
-      EXPECT_EQ(c->laps[idx].load(std::memory_order_relaxed), before)
-          << "a frozen thread kept running";
-      s->unfreeze(t);
-    }
+    s->pause_workers();
+    Thread* t = s->find(static_cast<ThreadId>(round % c->n_victims + 1));
+    bool ready = t != nullptr && t->state == ThreadState::kReady;
+    bool frozen = ready && s->freeze(t);
+    s->resume_workers();
+    if (!ready) continue;
+    ++c->ready_seen;
+    EXPECT_TRUE(frozen) << "freeze of a READY victim failed";
+    if (!frozen) continue;
+    ++c->freezes;
+    // The workers run again; the frozen victim's lap counter must not move.
+    int idx = static_cast<int>(t->id) - 1;
+    uint64_t before = c->laps[idx].load(std::memory_order_relaxed);
+    for (int spin = 0; spin < 20; ++spin) s->yield();
+    EXPECT_EQ(c->laps[idx].load(std::memory_order_relaxed), before)
+        << "a frozen thread kept running";
+    s->unfreeze(t);
     s->yield();
   }
   c->done.store(true);
   exit_now();
 }
 
-TEST(StealStorm, OpportunisticFreezeUnderStorm) {
+TEST(StealStorm, GatedFreezeUnderStorm) {
   Pool pool;
   Scheduler sched(4);
   constexpr int kVictims = 8;
   std::vector<std::atomic<uint64_t>> laps(kVictims);
   for (auto& l : laps) l.store(0);
-  OppCtx c;
+  FreezeCtx c;
   c.laps = laps.data();
   c.n_victims = kVictims;
   for (int i = 0; i < kVictims; ++i)
-    sched.create(pool.take(), kRegion, &opp_churn_entry, &c,
+    sched.create(pool.take(), kRegion, &victim_entry, &c,
                  static_cast<ThreadId>(i + 1), "v");
-  sched.create(pool.take(), kRegion, &opp_controller, &c, 99, "ctl");
+  sched.create(pool.take(), kRegion, &freeze_controller, &c, 99, "ctl");
   sched.stop();
   sched.run();
-  // Bounded-retry freezes may lose races, but across 200 attempts on 8
-  // yield-churning victims a total blank means the tier is broken.
-  EXPECT_GT(c.freezes, 0) << "opportunistic freeze never succeeded";
+  // Under the gate no victim can be mid-dispatch (each frozen one was
+  // unfrozen before the next round), so every round finds its victim READY
+  // and every freeze succeeds.
+  EXPECT_EQ(c.ready_seen, 200);
+  EXPECT_EQ(c.freezes, 200);
   for (int i = 0; i < kVictims; ++i)
     EXPECT_GT(laps[static_cast<size_t>(i)].load(), 0u);
 }
