@@ -168,8 +168,8 @@ StoreWriteStats SlotStore::write_runs(const std::vector<SlotRun>& runs,
     for (++i; i < dirty.size() && dirty[i].first <= end; ++i)
       end = std::max(end, dirty[i].second);
     void* src = reinterpret_cast<void*>(begin);
-    // Frozen stacks carry redzone poison from their live frames and parked
-    // pool stacks carry park poison; ASan checks the pwrite source buffer.
+    // Frozen stacks carry redzone poison from their live frames; ASan
+    // checks the pwrite source buffer.
     sys::san_unpoison(src, end - begin);
     const uint64_t off = hdr_->data_off + (begin - area_.base());
     pwrite_all(fd_, src, end - begin, off);
@@ -191,24 +191,60 @@ StoreWriteStats SlotStore::write_runs(const std::vector<SlotRun>& runs,
 // --- residency ---------------------------------------------------------
 
 bool SlotStore::demote(uint64_t id, uint64_t desc_addr,
-                       const std::vector<SlotRun>& runs, bool record) {
+                       const std::vector<SlotRun>& runs) {
   if (runs.size() > StoreDirEntry::kMaxRuns) return false;
   StoreWriteStats ws;
-  if (record) {
-    if (!write_thread(id, desc_addr, runs, &ws)) return false;
-  } else {
-    ws = write_runs(runs, std::vector<bool>(runs.size(), false));
-  }
+  if (!write_thread(id, desc_addr, runs, &ws)) return false;
+  size_t bytes = 0;
+  for (auto [first, count] : runs) bytes += count * area_.slot_size();
+  lock_.lock();
+  demoted_.emplace(desc_addr, Demoted{id, runs, bytes});
+  demoted_bytes_ += bytes;
+  lock_.unlock();
   for (auto [first, count] : runs) area_.decommit_force(first, count);
-  demotions_.fetch_add(runs.size(), std::memory_order_relaxed);
+  demotions_.fetch_add(1, std::memory_order_relaxed);
   bytes_out_.fetch_add(ws.written, std::memory_order_relaxed);
   return true;
 }
 
-void SlotStore::fault_back(size_t first, size_t count) {
-  area_.commit(first, count);  // mprotect RW + shadow unpoison
-  read_run(first, count);
+bool SlotStore::fault_back(uint64_t desc_addr) {
+  sys::SpinGuard g(lock_);
+  auto it = demoted_.find(desc_addr);
+  if (it == demoted_.end()) return false;
+  for (auto [first, count] : it->second.runs) {
+    area_.commit(first, count);  // mprotect RW + shadow unpoison
+    read_run(first, count);
+  }
+  demoted_bytes_ -= it->second.bytes;
+  demoted_.erase(it);
   fault_backs_.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+bool SlotStore::demoted_info(uint64_t desc_addr, uint64_t* id,
+                             std::vector<SlotRun>* runs) const {
+  sys::SpinGuard g(lock_);
+  auto it = demoted_.find(desc_addr);
+  if (it == demoted_.end()) return false;
+  if (id != nullptr) *id = it->second.id;
+  if (runs != nullptr) *runs = it->second.runs;
+  return true;
+}
+
+bool SlotStore::thread_demoted(uint64_t id) const {
+  sys::SpinGuard g(lock_);
+  return std::any_of(demoted_.begin(), demoted_.end(),
+                     [id](const auto& kv) { return kv.second.id == id; });
+}
+
+size_t SlotStore::demoted_count() const {
+  sys::SpinGuard g(lock_);
+  return demoted_.size();
+}
+
+size_t SlotStore::demoted_bytes() const {
+  sys::SpinGuard g(lock_);
+  return demoted_bytes_;
 }
 
 void SlotStore::read_run(size_t first, size_t count) {

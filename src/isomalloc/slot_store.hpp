@@ -10,11 +10,17 @@
 //   * hot          — committed anonymous RAM, as always;
 //   * demoted      — run bytes written to a per-node backing file keyed by
 //                    slot index, pages MADV_DONTNEED'd and re-protected
-//                    PROT_NONE (Area::decommit_force), so a cold frozen or
-//                    parked thread stops pinning physical memory;
+//                    PROT_NONE (Area::decommit_force), so a cold frozen
+//                    thread stops pinning physical memory;
 //   * faulted-back — re-committed and read back from the file at the same
 //                    iso-address when the thread resumes, packs for
 //                    migration, or is checkpointed.
+//
+// The store is the one owner of that state: demote() seals the thread's
+// directory record and lists it in an in-memory demoted set keyed by its
+// descriptor address (the descriptor is inside the PROT_NONE run, so the
+// key must never need a dereference); fault_back() drops the entry only
+// once the bytes are back in.
 //
 // The same backing file doubles as the persistence layer: a thread
 // *directory* (MAP_SHARED header + records, so `kill -9` cannot lose it —
@@ -113,8 +119,8 @@ struct StoreDirEntry {
 static_assert(sizeof(StoreDirEntry) == 128, "directory entries are packed");
 
 struct SlotStoreStats {
-  uint64_t demotions = 0;
-  uint64_t fault_backs = 0;
+  uint64_t demotions = 0;    // threads demoted
+  uint64_t fault_backs = 0;  // threads faulted back
   uint64_t bytes_out = 0;  // written by demote()
   uint64_t bytes_in = 0;   // read by fault_back()/read_run()
 };
@@ -157,21 +163,30 @@ class SlotStore {
 
   // --- residency ---------------------------------------------------------
 
-  /// Persist the runs and release their memory (pages dropped, protection
-  /// PROT_NONE).  With `record` the runs are thread `id`'s directory image,
-  /// written as by write_thread; a parked pool shell passes false (no
-  /// record: its bytes only back fault_back) and is written whole.  Returns
-  /// false, with nothing written or released, when the record is refused.
-  /// Written ranges are unpoisoned first: parked pool stacks carry ASan
-  /// poison, and both the pwrite source check and the file bytes must see
-  /// addressable memory.  The *caller* re-establishes the poison after
-  /// fault_back().
+  /// Persist thread `id` as write_thread() does, list it as demoted under
+  /// `desc_addr`, and release its runs' memory (pages dropped, protection
+  /// PROT_NONE).  Returns false, with nothing written or released, when the
+  /// directory refuses the record.  Written ranges are unpoisoned first:
+  /// frozen stacks carry ASan redzone poison, and both the pwrite source
+  /// check and the file bytes must see addressable memory.
   bool demote(uint64_t id, uint64_t desc_addr,
-              const std::vector<SlotRun>& runs, bool record);
+              const std::vector<SlotRun>& runs);
 
-  /// Re-commit the run, read its bytes back from the file at the same
-  /// iso-addresses, and protect it.
-  void fault_back(size_t first, size_t count);
+  /// If the thread whose descriptor is at `desc_addr` is demoted, re-commit
+  /// its runs, read their bytes back at the same iso-addresses, protect
+  /// them, and only then drop it from the demoted set — no caller can see
+  /// it resident while its bytes are on their way back.  False when it was
+  /// not demoted.
+  bool fault_back(uint64_t desc_addr);
+
+  /// Pointer-keyed lookup: never dereferences `desc_addr`.  Fills any
+  /// non-null out params.  False when the thread is not demoted.
+  bool demoted_info(uint64_t desc_addr, uint64_t* id,
+                    std::vector<SlotRun>* runs) const;
+  bool thread_demoted(uint64_t id) const;
+  size_t demoted_count() const;
+  /// Slot bytes of the demoted threads (a live gauge).
+  size_t demoted_bytes() const;
 
   /// Read the run's bytes from the file into (already committed) memory,
   /// and protect it (crash restart).
@@ -228,11 +243,20 @@ class SlotStore {
   StoreDirEntry* dir_ = nullptr;
   bool recovered_ = false;
   sys::DirtyTracker tracker_;
-  // Directory scans/updates and released_.  kLeaf: fault_back/record run
-  // under the runtime's store_lock_, so this lock must rank below every
-  // runtime map lock and may acquire nothing itself.
+  // Directory scans/updates, released_ and the demoted set.  kLeaf:
+  // registry and pool walks ask whether a thread is demoted under their own
+  // locks, so this lock ranks below all of them and acquires nothing
+  // itself.  fault_back() holds it across the read-back.
   mutable sys::SpinLock lock_{sys::LockRank::kLeaf};
   pm2::Bitmap released_;  // slots released since they were last written whole
+  struct Demoted {
+    uint64_t id = 0;
+    std::vector<SlotRun> runs;
+    size_t bytes = 0;
+  };
+  // Key: descriptor address.
+  std::unordered_map<uint64_t, Demoted> demoted_ PM2_GUARDED_BY(lock_);
+  size_t demoted_bytes_ PM2_GUARDED_BY(lock_) = 0;
   std::atomic<uint64_t> demotions_{0};
   std::atomic<uint64_t> fault_backs_{0};
   std::atomic<uint64_t> bytes_out_{0};

@@ -59,8 +59,9 @@ void balancer_loop(Runtime& rt, LoadBalancerConfig cfg) {
       if (rt.migrate(id, victim)) ++shipped;
     }
     if (shipped > 0) {
-      // Optimistically account for the transfer so the next round does not
-      // re-ship before fresh gossip arrives.
+      // Optimistically account for the transfer on both sides so the next
+      // round does not re-ship before fresh gossip arrives.
+      rt.add_peer_load(victim, shipped);
       rt.broadcast_load();
     }
   }

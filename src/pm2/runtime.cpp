@@ -397,10 +397,6 @@ marcel::Thread* Runtime::spawn_service_thread(marcel::EntryFn fn, void* arg,
   }
   if (t != nullptr) {
     ++pool_hits_;
-    // A demoted parked thread must be byte-identical in RAM before rearm()
-    // rebuilds its context (rearm reads the descriptor and unpoisons the
-    // stack — both live in the demoted run).
-    ensure_resident(t);
     marcel::ThreadId id = next_thread_id();
     // The slot header's owner id is diagnostics; keep it in step with the
     // recycled identity.
@@ -424,8 +420,6 @@ marcel::Thread* Runtime::spawn_service_thread(marcel::EntryFn fn, void* arg,
 
 void Runtime::pool_release_entry(marcel::Thread* t) {
   ++pool_evictions_;
-  // Releasing walks the slot chain, so a demoted entry comes back first.
-  ensure_resident(t);
   // Lift the park poison: the slot run re-enters general circulation (heap
   // slots, fresh stacks) and must be addressable for its next tenant.
   sys::san_unpoison(t->stack_base, t->stack_size());
@@ -501,88 +495,31 @@ void Runtime::for_each_parked(
 // Slot store: buffer-managed slot residency
 // ---------------------------------------------------------------------------
 
-bool Runtime::demote_locked(marcel::Thread* t, bool parked) {
-  std::vector<iso::SlotRun> runs;
-  size_t bytes = 0;
-  iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
-    runs.emplace_back(area_.slot_of(s), s->nslots);
-    bytes += size_t{s->nslots} * area_.slot_size();
-  });
-  marcel::ThreadId id = t->id;
-  // Frozen threads get a directory record too: their file image is a
-  // complete, current checkpoint (PROT_NONE pages cannot go stale), so a
-  // crash restart adopts them for free.  Parked pool shells are dead
-  // invocations — their bytes back the fault-back path only, never a
-  // restart.
-  if (!store_->demote(id, reinterpret_cast<uint64_t>(t), runs,
-                      /*record=*/!parked)) {
-    return false;  // too many runs for the directory: stays resident
-  }
-  store_lock_.lock();
-  demoted_.emplace(t, DemotedRec{id, std::move(runs), bytes, parked});
-  store_lock_.unlock();
-  demoted_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  demotions_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
-void Runtime::ensure_resident(marcel::Thread* t) {
-  if (store_ == nullptr) return;
-  store_lock_.lock();
-  auto it = demoted_.find(t);
-  if (it == demoted_.end()) {
-    store_lock_.unlock();
-    return;
-  }
-  DemotedRec rec = std::move(it->second);
-  demoted_.erase(it);
-  // The fault-back I/O completes under the lock: a second resumer (or the
-  // audit walking inventories) must never observe the record gone while
-  // the bytes are still on their way in.
-  for (const iso::SlotRun& r : rec.runs) store_->fault_back(r.first, r.second);
-  if (rec.parked) {
-    // Re-establish the park poison the demotion round trip scrubbed: a
-    // parked stack stays a use-after-return tripwire until rearm().
-    sys::san_poison(t->stack_base, t->stack_size());
-  }
-  store_lock_.unlock();
-  demoted_bytes_.fetch_sub(rec.bytes, std::memory_order_relaxed);
-  fault_backs_.fetch_add(1, std::memory_order_relaxed);
-}
-
-bool Runtime::thread_demoted(marcel::ThreadId id) const {
-  sys::SpinGuard g(store_lock_);
-  for (const auto& kv : demoted_) {
-    if (kv.second.id == id) return true;
-  }
-  return false;
-}
-
-bool Runtime::demoted_runs(marcel::ThreadId id,
-                           std::vector<iso::SlotRun>* out) const {
-  sys::SpinGuard g(store_lock_);
-  for (const auto& kv : demoted_) {
-    if (kv.second.id == id) {
-      if (out != nullptr) *out = kv.second.runs;
+bool Runtime::pool_evict(marcel::Thread* t) {
+  for (auto& shard_ptr : pool_shards_) {
+    PoolShard& shard = *shard_ptr;
+    shard.lock.lock();
+    auto it = std::find_if(shard.entries.begin(), shard.entries.end(),
+                           [t](const PoolEntry& e) { return e.thread == t; });
+    const bool found = it != shard.entries.end();
+    if (found) shard.entries.erase(it);
+    shard.lock.unlock();
+    if (found) {
+      pool_release_entry(t);
       return true;
     }
   }
   return false;
 }
 
-bool Runtime::demoted_info(marcel::Thread* t, marcel::ThreadId* id,
-                           std::vector<iso::SlotRun>* runs) const {
-  sys::SpinGuard g(store_lock_);
-  auto it = demoted_.find(t);
-  if (it == demoted_.end()) return false;
-  if (id != nullptr) *id = it->second.id;
-  if (runs != nullptr) *runs = it->second.runs;
-  return true;
-}
-
-size_t Runtime::demoted_count() const {
-  sys::SpinGuard g(store_lock_);
-  return demoted_.size();
+bool Runtime::demote_locked(marcel::Thread* t) {
+  std::vector<iso::SlotRun> runs;
+  iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
+    runs.emplace_back(area_.slot_of(s), s->nslots);
+  });
+  // The directory record the store seals doubles as a checkpoint: PROT_NONE
+  // pages cannot go stale, so a crash restart adopts the thread for free.
+  return store_->demote(t->id, reinterpret_cast<uint64_t>(t), runs);
 }
 
 bool Runtime::freeze_thread(marcel::ThreadId id) {
@@ -615,7 +552,7 @@ bool Runtime::demote_thread(marcel::ThreadId id) {
   marcel::Thread* t = sched_.find(id);
   bool ok = t != nullptr && !thread_demoted(id) &&
             t->state == marcel::ThreadState::kFrozen;
-  if (ok) ok = demote_locked(t, /*parked=*/false);
+  if (ok) ok = demote_locked(t);
   sched_.resume_workers();
   return ok;
 }
@@ -627,26 +564,24 @@ uint64_t Runtime::store_decay(uint64_t now) {
   // A thread that turns cold from now on ages past the horizon no earlier
   // than one horizon out.
   const uint64_t next = now + std::max(horizon, kDecayMinPeriodNs);
-  // Cheap racy pre-scan (no pause): is any cold thread past the horizon
-  // and still resident?  Reads only age stamps and the demoted map — never
-  // a demoted thread's (PROT_NONE) descriptor, because demoted threads are
-  // filtered by pointer before any field access.
-  bool candidates = false;
-  auto prescan = [&](marcel::Thread* t, bool parked) {
-    if (candidates) return;
-    store_lock_.lock();
-    bool demoted = demoted_.count(t) > 0;
-    store_lock_.unlock();
-    if (demoted) return;
-    // Registered threads must be frozen to qualify; parked pool shells
-    // (kDead) are cold by construction.
-    if (!parked && t->state != marcel::ThreadState::kFrozen) return;
-    if (t->cold_ns.load(std::memory_order_relaxed) + horizon <= now)
-      candidates = true;
+  auto aged = [&](marcel::Thread* t) {
+    return t->cold_ns.load(std::memory_order_relaxed) + horizon <= now;
   };
-  sched_.for_each([&](marcel::Thread* t) { prescan(t, false); });
+  // A registered thread qualifies when frozen and resident.  The store
+  // answers by pointer first, so a demoted thread's (PROT_NONE) descriptor
+  // is never read.  Parked pool shells (kDead) are cold by construction.
+  auto frozen = [&](marcel::Thread* t) {
+    return !demoted_info(t, nullptr, nullptr) &&
+           t->state == marcel::ThreadState::kFrozen;
+  };
+  // Cheap racy pre-scan (no pause): is anything cold past the horizon?
+  bool candidates = false;
+  sched_.for_each([&](marcel::Thread* t) {
+    candidates = candidates || (frozen(t) && aged(t));
+  });
   if (!candidates) {
-    for_each_parked([&](marcel::Thread* t) { prescan(t, true); });
+    for_each_parked(
+        [&](marcel::Thread* t) { candidates = candidates || aged(t); });
   }
   if (!candidates) return next;
 
@@ -656,24 +591,23 @@ uint64_t Runtime::store_decay(uint64_t now) {
   struct Cand {
     marcel::Thread* t;
     uint64_t cold_ns;
+    size_t bytes;
     bool parked;
   };
   std::vector<Cand> cold;
   size_t resident_cold = 0;
   auto consider = [&](marcel::Thread* t, bool parked) {
-    store_lock_.lock();
-    bool demoted = demoted_.count(t) > 0;
-    store_lock_.unlock();
-    if (demoted) return;  // already paid for
-    if (!parked && t->state != marcel::ThreadState::kFrozen) return;
     size_t bytes = 0;
     iso::ThreadHeap::for_each_slot(t->slot_list, [&](iso::SlotHeader* s) {
       bytes += size_t{s->nslots} * area_.slot_size();
     });
     resident_cold += bytes;
-    cold.push_back(Cand{t, t->cold_ns.load(std::memory_order_relaxed), parked});
+    cold.push_back(
+        Cand{t, t->cold_ns.load(std::memory_order_relaxed), bytes, parked});
   };
-  sched_.for_each([&](marcel::Thread* t) { consider(t, false); });
+  sched_.for_each([&](marcel::Thread* t) {
+    if (frozen(t)) consider(t, false);
+  });
   for_each_parked([&](marcel::Thread* t) { consider(t, true); });
   // Coldest first: stable eviction order a test can pin down.
   std::sort(cold.begin(), cold.end(),
@@ -681,18 +615,17 @@ uint64_t Runtime::store_decay(uint64_t now) {
   for (const Cand& c : cold) {
     if (resident_cold <= config_.slot_store_budget) break;
     if (c.cold_ns + horizon > now) break;  // sorted: the rest are younger
-    size_t before = demoted_bytes_.load(std::memory_order_relaxed);
-    if (demote_locked(c.t, c.parked)) {
-      resident_cold -=
-          demoted_bytes_.load(std::memory_order_relaxed) - before;
-    }
+    // A parked shell holds a dead invocation (rearm() rebuilds its context,
+    // its TSD was cleared at park): dropping it frees the run without I/O.
+    if (c.parked ? pool_evict(c.t) : demote_locked(c.t))
+      resident_cold -= c.bytes;
   }
   sched_.resume_workers();
   return next;
 }
 
 bool Runtime::take_restore_reservation(uint64_t id) {
-  sys::SpinGuard g(store_lock_);
+  sys::SpinGuard g(slot_lock_);
   return restore_reserved_.erase(id) != 0;
 }
 

@@ -267,9 +267,10 @@ struct RuntimeConfig {
   /// Resident-byte budget for *cold* threads (frozen + parked): when their
   /// committed slot bytes exceed this, the comm daemon's store-decay pass
   /// (on its upkeep schedule, every slot_store_decay_us, busy or idle)
-  /// demotes the coldest ones to the backing file until back under budget.
-  /// SIZE_MAX (default) never demotes by decay — explicit demote_thread()
-  /// and the checkpoint/restart paths still work.
+  /// takes the coldest ones until back under budget — a frozen thread is
+  /// demoted to the backing file, a parked pool shell (a dead invocation)
+  /// is evicted.  SIZE_MAX (default) never demotes by decay — explicit
+  /// demote_thread() and the checkpoint/restart paths still work.
   size_t slot_store_budget = SIZE_MAX;
   /// Only cold threads idle at least this long are demotion candidates
   /// (mirrors invocation_pool_decay_us for the pool itself).
@@ -662,7 +663,8 @@ class Runtime {
   uint64_t pool_misses() const {
     return pool_misses_.load(std::memory_order_relaxed);
   }
-  /// Parked threads released without reuse (idle decay + halt drain).
+  /// Parked threads released without reuse (idle decay, store decay, halt
+  /// drain).
   uint64_t pool_evictions() const {
     return pool_evictions_.load(std::memory_order_relaxed);
   }
@@ -686,6 +688,12 @@ class Runtime {
     return load_table_;
   }
   void broadcast_load();
+  /// Count `k` threads just shipped to `node` in its table entry, so the
+  /// next round does not read the stale figure until `node` gossips again.
+  void add_peer_load(uint32_t node, uint64_t k) {
+    sys::SpinGuard g(load_lock_);
+    load_table_[node] += k;
+  }
 
   // --- failure detection (see RuntimeConfig::heartbeat_period_ns) -----------
 
@@ -740,38 +748,42 @@ class Runtime {
   /// thread is unknown, not frozen, already demoted, or spans too many
   /// runs for the store directory.
   bool demote_thread(marcel::ThreadId id);
-  /// The choke point every resume path funnels through (unfreeze, pool
-  /// re-arm, migration pack, checkpoint, pool release): if `t` was
-  /// demoted, fault its runs back in — re-applying park poison for pool
-  /// entries — and drop the demotion record.  No-op for resident threads.
-  void ensure_resident(marcel::Thread* t);
+  /// The choke point every resume path funnels through (unfreeze,
+  /// migration pack, checkpoint): if `t` was demoted, fault its runs back
+  /// in.  No-op for resident threads.
+  void ensure_resident(marcel::Thread* t) {
+    if (store_ != nullptr) store_->fault_back(reinterpret_cast<uint64_t>(t));
+  }
   /// Decay pass (a comm-daemon upkeep task, beside pool_decay): demote
-  /// cold threads past slot_store_decay_us, coldest first, until resident
-  /// cold bytes fit slot_store_budget.  Exposed for tests.  Returns when
-  /// the next pass is due.
+  /// frozen threads and evict parked pool shells idle past
+  /// slot_store_decay_us, coldest first, until resident cold bytes fit
+  /// slot_store_budget.  Exposed for tests.  Returns when the next pass is
+  /// due.
   uint64_t store_decay(uint64_t now);
 
-  bool thread_demoted(marcel::ThreadId id) const;
-  /// Copy a demoted thread's recorded slot runs (audit inventories demoted
-  /// threads from the record — their slot chain is PROT_NONE).  False when
-  /// the thread is not demoted.
-  bool demoted_runs(marcel::ThreadId id,
-                    std::vector<iso::SlotRun>* out) const;
+  // Demotion state lives in the slot store; these forward to it.
+  bool thread_demoted(marcel::ThreadId id) const {
+    return store_ != nullptr && store_->thread_demoted(id);
+  }
   /// Pointer-keyed demotion lookup: never dereferences `t` (the descriptor
-  /// of a demoted thread is itself PROT_NONE).  Fills any non-null out
-  /// params from the demotion record.  Registry/audit walks must call this
-  /// *before* touching any field of a thread they did not resume.
+  /// of a demoted thread is itself PROT_NONE).  Registry/audit walks must
+  /// call this *before* touching any field of a thread they did not resume.
   bool demoted_info(marcel::Thread* t, marcel::ThreadId* id,
-                    std::vector<iso::SlotRun>* runs) const;
-  size_t demoted_count() const;
+                    std::vector<iso::SlotRun>* runs) const {
+    return store_ != nullptr &&
+           store_->demoted_info(reinterpret_cast<uint64_t>(t), id, runs);
+  }
+  size_t demoted_count() const {
+    return store_ != nullptr ? store_->demoted_count() : 0;
+  }
   size_t demoted_bytes() const {
-    return demoted_bytes_.load(std::memory_order_relaxed);
+    return store_ != nullptr ? store_->demoted_bytes() : 0;
   }
   uint64_t demotions() const {
-    return demotions_.load(std::memory_order_relaxed);
+    return store_ != nullptr ? store_->stats().demotions : 0;
   }
   uint64_t fault_backs() const {
-    return fault_backs_.load(std::memory_order_relaxed);
+    return store_ != nullptr ? store_->stats().fault_backs : 0;
   }
 
   /// Keep next_thread_id() ahead of an id this node minted in a previous
@@ -1175,32 +1187,16 @@ class Runtime {
   std::atomic<uint64_t> pool_misses_{0};
   std::atomic<uint64_t> pool_evictions_{0};
 
-  // Slot store: demoted-thread map under store_lock_, keyed by the
-  // *descriptor pointer* — a demoted thread's descriptor lives inside its
-  // PROT_NONE run, so the key must never require a dereference (id
-  // lookups scan; the map is small and cold).  Demotion only happens with
-  // the workers paused (store_decay / demote_thread), and fault-back I/O
-  // completes under store_lock_, so no caller can resume a thread whose
-  // bytes are still in flight.
-  struct DemotedRec {
-    marcel::ThreadId id = 0;
-    std::vector<iso::SlotRun> runs;
-    size_t bytes = 0;
-    bool parked = false;  // invocation-pool entry: re-poison on fault-back
-  };
-  /// Demote `t` (must be cold and resident; workers paused).  False when
-  /// the thread spans more runs than the store directory can record.
-  bool demote_locked(marcel::Thread* t, bool parked);
+  /// Take `t` out of its pool shard and release it; false when a dispatch
+  /// re-armed it first.
+  bool pool_evict(marcel::Thread* t);
+  /// Demote frozen `t` (must be resident; workers paused).  False when the
+  /// thread spans more runs than the store directory can record.
+  bool demote_locked(marcel::Thread* t);
   std::unique_ptr<iso::SlotStore> store_;
-  mutable sys::SpinLock store_lock_{sys::LockRank::kRuntimeMaps};
-  std::unordered_map<marcel::Thread*, DemotedRec> demoted_
-      PM2_GUARDED_BY(store_lock_);
   // Thread ids whose recorded runs were pre-acquired at construction from
   // a recovered store (see take_restore_reservation).
-  std::unordered_set<uint64_t> restore_reserved_ PM2_GUARDED_BY(store_lock_);
-  std::atomic<uint64_t> demotions_{0};
-  std::atomic<uint64_t> fault_backs_{0};
-  std::atomic<size_t> demoted_bytes_{0};
+  std::unordered_set<uint64_t> restore_reserved_ PM2_GUARDED_BY(slot_lock_);
 
   // Recycled RpcInvocation boxes (one per in-flight dispatch): the hot
   // path swaps a pointer instead of paying a heap round trip per call.

@@ -73,10 +73,9 @@ inline void cpu_relax() {
 ///     underneath (kSyncCondVar > kSyncState); the woken waiter's requeue
 ///     is lock-free (Chase-Lev deque / MPSC inbox), so nothing ranks
 ///     below it on that path anymore.
-///   * Runtime::for_each_parked holds a pool shard while the store-decay /
-///     audit callbacks take store_lock_ (kInvocationPool > kRuntimeMaps).
-///   * Runtime's store paths hold store_lock_ while the slot store scans
-///     its directory (kRuntimeMaps > kLeaf).
+///   * Registry and pool walks (Runtime::for_each_parked holds a pool
+///     shard) ask the slot store whether a thread is demoted, under the
+///     store's own lock (anything > kLeaf).
 /// Same-rank acquisition is refused; peers of equal rank may only be taken
 /// with try_lock, which cannot deadlock and is therefore exempt from the
 /// order check.
@@ -86,12 +85,12 @@ inline void cpu_relax() {
 /// inbox/handoff slots (sys/chase_lev.hpp).  The rank is retired — the
 /// value stays unassigned so old rank numbers in crash logs stay readable.
 enum class LockRank : uint8_t {
-  kLeaf = 0x08,            // slot-store directory, tracer: acquire nothing
+  kLeaf = 0x08,            // slot store, tracer: acquire nothing
   kRegistryShard = 0x20,   // Scheduler registry stripes (sys::StripedMap)
   kSyncState = 0x30,       // Mutex/Semaphore/Barrier/Event/RwLock/WaitQueue
   kSyncCondVar = 0x34,     // CondVar state (runs Mutex::unlock underneath)
-  kRuntimeMaps = 0x40,     // runtime tables: pending/services/slots/store/...
-  kInvocationPool = 0x48,  // pool shards + freelist (walk into store_lock_)
+  kRuntimeMaps = 0x40,     // runtime tables: pending/barrier/slots/load/...
+  kInvocationPool = 0x48,  // pool shards + invocation freelist
   kOutbox = 0x50,          // deferred-send queue
 };
 
@@ -99,9 +98,9 @@ enum class LockRank : uint8_t {
 
 namespace lockrank {
 
-/// Per-kernel-thread record of held SpinLocks.  Fixed capacity: the deepest
-/// legal chain today is three (pool shard -> runtime map -> leaf); eight
-/// leaves headroom for tests and future layers.
+/// Per-kernel-thread record of held SpinLocks.  Fixed capacity: the legal
+/// chains today are two deep (pool shard -> slot store, CondVar -> sync
+/// state); eight leaves headroom for tests and future layers.
 struct HeldStack {
   static constexpr int kMax = 8;
   const void* lock[kMax];

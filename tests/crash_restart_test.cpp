@@ -33,19 +33,13 @@
 #include "pm2/runtime.hpp"
 #include "sys/dirty_tracker.hpp"
 #include "sys/process.hpp"
+#include "temp_dir.hpp"
 
 namespace pm2 {
 namespace {
 
 #define CHILD_REQUIRE(cond) \
   PM2_CHECK(cond) << "crash-restart child assertion failed"
-
-std::string make_dir() {
-  char tmpl[] = "/tmp/pm2-crash-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  PM2_CHECK(dir != nullptr) << "mkdtemp failed";
-  return dir;
-}
 
 bool file_exists(const std::string& path) {
   struct stat st;
@@ -144,7 +138,8 @@ TEST(CrashRestart, InprocSessionRestoresFromStoreFiles) {
   if (std::getenv("PM2_CR_DIR") != nullptr && !is_spawned_child()) {
     cr_inproc_child();  // never returns
   }
-  std::string dir = make_dir();
+  test::TempDir tmp("pm2-crash");
+  const std::string& dir = tmp.path();
   std::vector<std::string> args = {
       "--gtest_filter=CrashRestart.InprocSessionRestoresFromStoreFiles"};
   pid_t run = sys::spawn(sys::self_exe(), args, {"PM2_CR_DIR=" + dir});
@@ -225,7 +220,8 @@ TEST(CrashRestart, MultiprocessPendingRpcCompletesAfterRestart) {
   if (is_spawned_child()) {
     cr_mp_child();  // never returns
   }
-  std::string dir = make_dir();
+  test::TempDir tmp("pm2-crash");
+  const std::string& dir = tmp.path();
   std::vector<std::string> args = {
       "--gtest_filter=CrashRestart.MultiprocessPendingRpcCompletesAfterRestart"};
   auto env_for = [&](int node, bool restart) {
@@ -248,9 +244,6 @@ TEST(CrashRestart, MultiprocessPendingRpcCompletesAfterRestart) {
   pid_t n1b = sys::spawn(sys::self_exe(), args, env_for(1, true));
   EXPECT_EQ(sys::wait_child(n1b), 0);
   EXPECT_EQ(sys::wait_child(n0), 0);
-  for (int i = 0; i < 2; ++i) {
-    ::unlink((dir + "/node" + std::to_string(i) + ".sock").c_str());
-  }
 }
 
 }  // namespace

@@ -44,6 +44,7 @@
 #include "pm2/app.hpp"
 #include "pm2/runtime.hpp"
 #include "sys/process.hpp"
+#include "temp_dir.hpp"
 
 namespace pm2 {
 namespace {
@@ -53,13 +54,6 @@ using fabric::FaultPlan;
 
 #define CHILD_REQUIRE(cond) \
   PM2_CHECK(cond) << "fault-injection child assertion failed"
-
-std::string make_dir() {
-  char tmpl[] = "/tmp/pm2-fault-XXXXXX";
-  const char* dir = ::mkdtemp(tmpl);
-  PM2_CHECK(dir != nullptr) << "mkdtemp failed";
-  return dir;
-}
 
 bool file_exists(const std::string& path) {
   struct stat st;
@@ -546,7 +540,8 @@ TEST(FaultInjection, KillNinePeerFailsPendingWorkAsPeerDown) {
   if (is_spawned_child()) {
     fi_mp_child();  // never returns
   }
-  std::string dir = make_dir();
+  test::TempDir tmp("pm2-fault");
+  const std::string& dir = tmp.path();
   std::vector<std::string> args = {
       "--gtest_filter=FaultInjection.KillNinePeerFailsPendingWorkAsPeerDown"};
   auto env_for = [&](int node) {
@@ -564,9 +559,6 @@ TEST(FaultInjection, KillNinePeerFailsPendingWorkAsPeerDown) {
   EXPECT_EQ(sys::wait_child(n1), 128 + SIGKILL);
   touch(dir + "/killed");
   EXPECT_EQ(sys::wait_child(n0), 0);
-  for (int i = 0; i < 2; ++i) {
-    ::unlink((dir + "/node" + std::to_string(i) + ".sock").c_str());
-  }
 }
 
 }  // namespace

@@ -5,13 +5,13 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 
 #include "common/time.hpp"
 #include "pm2/api.hpp"
 #include "pm2/app.hpp"
 #include "pm2/runtime.hpp"
+#include "temp_dir.hpp"
 
 namespace pm2 {
 namespace {
@@ -100,6 +100,46 @@ TEST(LoadBalancer, RespectsThreshold) {
   EXPECT_EQ(moved.load(), 0u);
 }
 
+// Only node 0 balances, so node 1 never gossips and node 0's table entry for
+// it moves only by what node 0 itself ships there.  Counting the shipped
+// threads in that entry stops the drain at balance; reading node 1 as idle
+// forever would move every spinner off node 0.
+std::atomic<bool> g_spin_release{false};
+
+void spinner(void*) {
+  // Bounded: if the test body bails out before releasing us, fail red
+  // instead of keeping the session alive forever.
+  const uint64_t deadline = now_ns() + 20'000'000'000ull;
+  while (!g_spin_release.load() && now_ns() < deadline) pm2_yield();
+  EXPECT_TRUE(g_spin_release.load()) << "spinner was never released";
+  pm2_signal(0);
+}
+
+TEST(LoadBalancer, OneSidedViewStopsAtBalance) {
+  constexpr int kSpinners = 8;
+  g_spin_release = false;
+  std::atomic<uint64_t> moved{0};
+  AppConfig cfg;
+  cfg.nodes = 2;
+  run_app(cfg, [&](Runtime& rt) {
+    if (rt.self() == 0) {
+      for (int i = 0; i < kSpinners; ++i)
+        pm2_thread_create(&spinner, nullptr, "spin");
+      LoadBalancerConfig lb;
+      lb.period_us = 200;
+      lb.max_migrations_per_round = kSpinners;
+      LoadBalancer::start(rt, lb);
+      pm2_sleep_us(100'000);
+      moved = rt.migrations_out();
+      g_spin_release = true;
+      pm2_wait_signals(kSpinners);
+    }
+    rt.barrier();
+  });
+  EXPECT_GE(kSpinners - static_cast<int>(moved.load()), 3)
+      << "node 0 drained its spinners to a peer it never heard from";
+}
+
 // A demoted thread is frozen with a PROT_NONE descriptor: the balancer's
 // candidate walk must skip it without a single field read (it used to read
 // `state` and fault), and must leave it demoted.
@@ -120,14 +160,12 @@ TEST(LoadBalancer, SkipsDemotedThreads) {
   constexpr int kParked = 3;
   g_parked_started = 0;
   g_parked_release = false;
-  char tmpl[] = "/tmp/pm2-store-XXXXXX";
-  ASSERT_NE(::mkdtemp(tmpl), nullptr);
-  const std::string dir = tmpl;
+  test::TempDir dir("pm2-store");
   std::atomic<int> stayed_demoted{0};
   std::atomic<uint64_t> moved{0};
   AppConfig cfg;
   cfg.nodes = 2;
-  cfg.rt.slot_store_dir = dir;
+  cfg.rt.slot_store_dir = dir.path();
   run_app(cfg, [&](Runtime& rt) {
     marcel::ThreadId ids[kParked] = {};
     bool frozen[kParked] = {};
@@ -161,7 +199,6 @@ TEST(LoadBalancer, SkipsDemotedThreads) {
       pm2_wait_signals(kParked);
     }
   });
-  std::filesystem::remove_all(dir);
   EXPECT_EQ(stayed_demoted.load(), kParked);
   EXPECT_EQ(moved.load(), 0u);
 }

@@ -5,24 +5,16 @@
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <thread>
 
 #include "common/time.hpp"
+#include "temp_dir.hpp"
 
 namespace pm2::fabric {
 namespace {
-
-std::string fresh_dir() {
-  static int counter = 0;
-  std::string dir = "/tmp/pm2-socktest-" + std::to_string(::getpid()) + "-" +
-                    std::to_string(counter++);
-  ::mkdir(dir.c_str(), 0700);
-  return dir;
-}
 
 SocketFabricConfig config_for(NodeId node, NodeId nodes,
                               const std::string& dir) {
@@ -34,7 +26,8 @@ SocketFabricConfig config_for(NodeId node, NodeId nodes,
 }
 
 TEST(SocketFabric, PairSendReceive) {
-  std::string dir = fresh_dir();
+  test::TempDir tmp("pm2-socktest");
+  const std::string& dir = tmp.path();
   std::unique_ptr<Fabric> f0, f1;
   std::thread t1([&] { f1 = make_socket_fabric(config_for(1, 2, dir)); });
   f0 = make_socket_fabric(config_for(0, 2, dir));
@@ -56,7 +49,8 @@ TEST(SocketFabric, PairSendReceive) {
 }
 
 TEST(SocketFabric, LargeMessageSurvivesFraming) {
-  std::string dir = fresh_dir();
+  test::TempDir tmp("pm2-socktest");
+  const std::string& dir = tmp.path();
   std::unique_ptr<Fabric> f0, f1;
   std::thread t1([&] { f1 = make_socket_fabric(config_for(1, 2, dir)); });
   f0 = make_socket_fabric(config_for(0, 2, dir));
@@ -81,7 +75,8 @@ TEST(SocketFabric, LargeMessageSurvivesFraming) {
 TEST(SocketFabric, SimultaneousLargeSendsDoNotDeadlock) {
   // Both sides fire multi-megabyte messages at each other at once: the
   // send path must drain incoming traffic while its own pipe is full.
-  std::string dir = fresh_dir();
+  test::TempDir tmp("pm2-socktest");
+  const std::string& dir = tmp.path();
   std::unique_ptr<Fabric> f0, f1;
   std::thread t1([&] { f1 = make_socket_fabric(config_for(1, 2, dir)); });
   f0 = make_socket_fabric(config_for(0, 2, dir));
@@ -107,7 +102,8 @@ TEST(SocketFabric, WakeEventfdInterruptsBlockedRecv) {
   // The readiness handle's cross-thread wake: a write to the fabric's
   // eventfd (registered in its epoll set) pops an indefinitely blocked
   // recv_until without a frame.
-  std::string dir = fresh_dir();
+  test::TempDir tmp("pm2-socktest");
+  const std::string& dir = tmp.path();
   std::unique_ptr<Fabric> f0, f1;
   std::thread t1([&] { f1 = make_socket_fabric(config_for(1, 2, dir)); });
   f0 = make_socket_fabric(config_for(0, 2, dir));
@@ -133,7 +129,8 @@ TEST(SocketFabric, WakeEventfdInterruptsBlockedRecv) {
 }
 
 TEST(SocketFabric, ThreeNodeMeshRoutes) {
-  std::string dir = fresh_dir();
+  test::TempDir tmp("pm2-socktest");
+  const std::string& dir = tmp.path();
   std::unique_ptr<Fabric> f0, f1, f2;
   std::thread t1([&] { f1 = make_socket_fabric(config_for(1, 3, dir)); });
   std::thread t2([&] { f2 = make_socket_fabric(config_for(2, 3, dir)); });
@@ -153,7 +150,8 @@ TEST(SocketFabric, ThreeNodeMeshRoutes) {
 }
 
 TEST(SocketFabric, ManySmallMessagesInOrder) {
-  std::string dir = fresh_dir();
+  test::TempDir tmp("pm2-socktest");
+  const std::string& dir = tmp.path();
   std::unique_ptr<Fabric> f0, f1;
   std::thread t1([&] { f1 = make_socket_fabric(config_for(1, 2, dir)); });
   f0 = make_socket_fabric(config_for(0, 2, dir));
@@ -173,7 +171,8 @@ TEST(SocketFabric, ManySmallMessagesInOrder) {
 }
 
 TEST(SocketFabric, ChainedSendGathersWithZeroCopies) {
-  std::string dir = fresh_dir();
+  test::TempDir tmp("pm2-socktest");
+  const std::string& dir = tmp.path();
   std::unique_ptr<Fabric> f0, f1;
   std::thread t1([&] { f1 = make_socket_fabric(config_for(1, 2, dir)); });
   f0 = make_socket_fabric(config_for(0, 2, dir));
