@@ -1,5 +1,6 @@
 #include "fabric/fault_fabric.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -138,7 +139,7 @@ FaultFabric::FaultFabric(std::unique_ptr<Fabric> inner, FaultPlan plan)
       plan_(std::move(plan)),
       pass_through_(!plan_.active()),
       rng_(plan_.seed) {
-  flap_until_.assign(inner_->n_nodes(), 0);
+  links_.assign(inner_->n_nodes(), Link{});
   // Forced-I/O budgets live in sys:: globals the socket send path consults;
   // they self-consume and are correctness-neutral (a short write or EINTR
   // only exercises the resume path), so leftovers are harmless.
@@ -154,8 +155,8 @@ FaultFabric::~FaultFabric() = default;
 
 bool FaultFabric::mutable_type(uint16_t type) const {
   if (plan_.all_types) return true;
-  // Loss-tolerant traffic only: RPC requests/replies (deadline + tombstone
-  // turn a loss into kTimeout), load gossip and heartbeats (periodic,
+  // Loss-tolerant traffic only: RPC requests/replies (deadlines turn a
+  // loss into kTimeout), load gossip and heartbeats (periodic,
   // self-healing), and user channel messages.  Control frames (halt,
   // barriers, migration payloads and acks, negotiation) ride a reliable
   // stream with no retransmit layer — dropping them wedges the session
@@ -174,12 +175,12 @@ FaultFabric::Action FaultFabric::decide(const Message& msg, uint64_t now,
       return Action::kDrop;
     }
   }
-  if (dst < flap_until_.size() && flap_until_[dst] > now) {
+  if (dst < links_.size() && links_[dst].flap_until_ns > now) {
     ++stats_.flapped;
     return Action::kDrop;
   }
   if (plan_.flap_p > 0 && rng_.next_bool(plan_.flap_p)) {
-    if (dst < flap_until_.size()) flap_until_[dst] = now + plan_.flap_ns;
+    if (dst < links_.size()) links_[dst].flap_until_ns = now + plan_.flap_ns;
     ++stats_.flapped;
     return Action::kDrop;
   }
@@ -215,77 +216,97 @@ void FaultFabric::send(Message msg) {
     inner_->send(std::move(msg));
     return;
   }
+  PM2_CHECK(msg.dst < inner_->n_nodes()) << "send to unknown node " << msg.dst;
   const uint64_t now = now_ns();
   flush_due(now);
-  uint64_t release_ns = 0;
+  uint64_t release_ns = now;
   uint64_t trunc_len = 0;
   Action act;
+  bool hold;
   {
     sys::SpinGuard g(lock_);
     act = decide(msg, now, &release_ns, &trunc_len);
+    // Both real transports are FIFO per link: while a frame to this
+    // destination is held, every later one queues behind it.
+    hold = act == Action::kDelay || links_[msg.dst].held > 0;
   }
-  switch (act) {
-    case Action::kForward:
-      inner_->send(std::move(msg));
-      return;
-    case Action::kDrop:
-      // Borrowed chain segments only had to stay valid until send()
-      // returns — dropping the frame honors that trivially.
-      return;
-    case Action::kDuplicate: {
-      Message dup;
-      dup.type = msg.type;
-      dup.dst = msg.dst;
-      dup.corr = msg.corr;
-      dup.payload = msg.flat();  // copies; original stays intact
-      inner_->send(std::move(msg));
-      inner_->send(std::move(dup));
-      return;
-    }
-    case Action::kTruncate: {
-      msg.flat().resize(trunc_len);
-      inner_->send(std::move(msg));
-      return;
-    }
-    case Action::kDelay: {
-      // The sender's borrowed bytes may vanish once we return: own them.
-      msg.flat();
-      {
-        sys::SpinGuard g(lock_);
-        delayed_.push_back(Delayed{release_ns, std::move(msg)});
-      }
-      // The daemon may be parked with a pre-clamp deadline; have it
-      // re-evaluate so the frame is released on time.
-      inner_->wake();
-      return;
-    }
+  // Borrowed chain segments only had to stay valid until send() returns —
+  // dropping the frame honors that trivially.
+  if (act == Action::kDrop) return;
+  if (act == Action::kTruncate) msg.flat().resize(trunc_len);
+  std::optional<Message> dup;
+  if (act == Action::kDuplicate) {
+    dup.emplace();
+    dup->type = msg.type;
+    dup->dst = msg.dst;
+    dup->corr = msg.corr;
+    dup->payload = msg.flat();  // copies; original stays intact
   }
+  if (!hold) {
+    inner_->send(std::move(msg));
+    if (dup) inner_->send(std::move(*dup));
+    return;
+  }
+  // The sender's borrowed bytes may vanish once we return: own them.
+  msg.flat();
+  {
+    sys::SpinGuard g(lock_);
+    hold_locked(std::move(msg), release_ns);
+    if (dup) hold_locked(std::move(*dup), release_ns);
+  }
+  // A frame queued behind a held one may already be due.  Otherwise the
+  // daemon may be parked with a pre-clamp deadline; have it re-evaluate so
+  // the frame is released on time.
+  flush_due(now_ns());
+  inner_->wake();
+}
+
+void FaultFabric::hold_locked(Message msg, uint64_t release_ns) {
+  // Release times never decrease along a link, so releasing every due
+  // frame in queue order keeps each link FIFO.
+  Link& link = links_[msg.dst];
+  link.tail_ns = std::max(link.held > 0 ? link.tail_ns : 0, release_ns);
+  ++link.held;
+  delayed_.push_back(Delayed{link.tail_ns, std::move(msg)});
 }
 
 void FaultFabric::flush_due(uint64_t now) {
+  // One flusher at a time: two threads sending popped frames of one link
+  // could reorder them.  A frame is counted as held until its inner send
+  // returns, so a concurrent send() queues behind it, and the flusher
+  // rescans before giving up its turn.
   std::vector<Message> due;
-  {
-    sys::SpinGuard g(lock_);
+  std::vector<NodeId> sent;
+  lock_.lock();
+  if (flushing_) {
+    lock_.unlock();
+    return;
+  }
+  flushing_ = true;
+  while (true) {
     for (auto it = delayed_.begin(); it != delayed_.end();) {
       if (it->release_ns <= now) {
+        sent.push_back(it->msg.dst);
         due.push_back(std::move(it->msg));
         it = delayed_.erase(it);
       } else {
         ++it;
       }
     }
+    if (due.empty()) break;
+    lock_.unlock();
+    for (Message& m : due) inner_->send(std::move(m));
+    due.clear();
+    now = std::max(now, now_ns());
+    lock_.lock();
+    for (NodeId dst : sent) --links_[dst].held;
+    sent.clear();
   }
-  for (Message& m : due) inner_->send(std::move(m));
+  flushing_ = false;
+  lock_.unlock();
 }
 
-void FaultFabric::drain_delayed() {
-  std::deque<Delayed> held;
-  {
-    sys::SpinGuard g(lock_);
-    held.swap(delayed_);
-  }
-  for (Delayed& d : held) inner_->send(std::move(d.msg));
-}
+void FaultFabric::drain_delayed() { flush_due(UINT64_MAX); }
 
 uint64_t FaultFabric::next_release() const {
   sys::SpinGuard g(lock_);

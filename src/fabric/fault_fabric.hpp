@@ -16,10 +16,12 @@
 // would wedge or corrupt a session outright rather than exercise a recovery
 // path.  By default those mutations therefore apply only to loss-tolerant
 // types (RPC requests/replies, load gossip, heartbeats, user channels),
-// where the deadline + tombstone machinery turns a loss into a clean
-// kTimeout.  `all=1` lifts the filter for tests that want to break control
+// where the deadline machinery turns a loss into a clean kTimeout (a
+// late or duplicated reply to a resolved correlation is dropped).  `all=1` lifts the filter for tests that want to break control
 // traffic on purpose (e.g. partition tests already do, wholesale).
-// Delay applies to every type: a slow frame is always legal.
+// Delay applies to every type: a slow frame is always legal.  Each link
+// stays FIFO, as both real transports are: a frame to a destination that
+// still has a held frame queues behind it, whatever its own fate.
 //
 // Plan grammar (comma-separated `key=value`; probabilities in [0,1];
 // durations accept ns/us/ms/s suffixes, bare numbers are ns):
@@ -134,13 +136,20 @@ class FaultFabric : public Fabric {
   /// comm daemon calls this when it exits: a session-closing frame (the
   /// halt broadcast, a final reply) that drew a delay must still reach the
   /// wire — after the daemon's last lap nobody would ever flush it, and
-  /// the peers would wait forever.
+  /// the peers would wait forever.  Nothing else may be sending then.
   void drain_delayed();
 
  private:
   struct Delayed {
     uint64_t release_ns;
     Message msg;
+  };
+  /// Per-destination state: a flap in progress, and the frames held for
+  /// the link (queued or being flushed) with the latest release among them.
+  struct Link {
+    uint64_t flap_until_ns = 0;
+    uint32_t held = 0;
+    uint64_t tail_ns = 0;
   };
 
   // What to do with one outgoing frame (decided under lock, acted outside).
@@ -149,8 +158,11 @@ class FaultFabric : public Fabric {
   Action decide(const Message& msg, uint64_t now, uint64_t* release_ns,
                 uint64_t* trunc_len) PM2_REQUIRES(lock_);
   bool mutable_type(uint16_t type) const;
+  /// Queue `msg` on its link, released no earlier than `release_ns` and no
+  /// earlier than the frames already held for that link.
+  void hold_locked(Message msg, uint64_t release_ns) PM2_REQUIRES(lock_);
   /// Pop frames whose release time has passed (under lock) and send them
-  /// through the inner transport (outside the lock).
+  /// through the inner transport (outside the lock), in queue order.
   void flush_due(uint64_t now);
   uint64_t next_release() const;
 
@@ -161,7 +173,8 @@ class FaultFabric : public Fabric {
   mutable sys::SpinLock lock_{sys::LockRank::kLeaf};
   pm2::Rng rng_ PM2_GUARDED_BY(lock_);
   std::deque<Delayed> delayed_ PM2_GUARDED_BY(lock_);
-  std::vector<uint64_t> flap_until_ PM2_GUARDED_BY(lock_);  // per peer, ns
+  std::vector<Link> links_ PM2_GUARDED_BY(lock_);  // one per node
+  bool flushing_ PM2_GUARDED_BY(lock_) = false;
   FaultStats stats_ PM2_GUARDED_BY(lock_);
 };
 

@@ -6,11 +6,13 @@
 // discipline that keeps every node's bitmap immutable while a negotiation
 // is in flight.
 //
-// Locking: the lock-server state and this node's grant-wait event live
-// under nego_lock_ (the comm daemon's handlers race worker threads calling
-// lock_system/unlock_system); the bitmap, freeze depth, deferred releases
-// and the freeze wait-queue live under slot_lock_.  Sends and wake-ups
-// always happen outside both.
+// Locking: the lock-server state lives under nego_lock_ (the comm daemon's
+// handlers race worker threads calling lock_system/unlock_system); a grant
+// is the reply to the requester's registered correlation.  The bitmap,
+// freeze depth, deferred releases and the freeze wait-queue live under
+// slot_lock_.  Sends and wake-ups always happen outside both.
+#include <algorithm>
+
 #include "common/check.hpp"
 #include "common/log.hpp"
 #include "isomalloc/negotiation.hpp"
@@ -20,41 +22,12 @@ namespace pm2 {
 
 void Runtime::lock_system() {
   PM2_CHECK(marcel::Scheduler::self() != nullptr);
-  marcel::Event ev;
-  bool send_req = false;
-  nego_lock_.lock();
-  PM2_CHECK(lock_wait_ == nullptr)
-      << "two concurrent negotiations on one node";
-  if (config_.node == 0) {
-    if (!lock_held_) {
-      lock_held_ = true;
-      lock_owner_ = 0;
-      nego_lock_.unlock();
-      return;
-    }
-    lock_wait_ = &ev;
-    lock_queue_.push_back(0);
-  } else {
-    lock_wait_ = &ev;
-    send_req = true;
-  }
-  nego_lock_.unlock();
-  if (send_req) {
-    fabric::Message msg;
-    msg.type = kLockReq;
-    msg.dst = 0;
-    fabric_send(std::move(msg));
-  }
-  ev.wait();
-  nego_lock_.lock();
-  lock_wait_ = nullptr;
-  bool lost = nego_peer_lost_;
-  nego_peer_lost_ = false;
-  nego_lock_.unlock();
+  marcel::Future<std::vector<uint8_t>> grant =
+      wait_on_coordinator(kLockReq, &Runtime::handle_lock_req);
   // The global bitmap protocol cannot survive losing a participant (the
   // address-space consensus would silently diverge): abort loudly rather
   // than proceed with a partial view or hang on a grant that never comes.
-  PM2_CHECK(!lost) << "peer went down while waiting for the system lock";
+  PM2_CHECK(!grant.failed()) << "system lock wait aborted: " << grant.error();
   PM2_DEBUG << "system lock granted";
 }
 
@@ -70,31 +43,28 @@ void Runtime::unlock_system() {
   fabric_send(std::move(msg));
 }
 
-void Runtime::handle_lock_req(uint32_t from) {
+void Runtime::handle_lock_req(const Waiter& w) {
   PM2_CHECK(config_.node == 0) << "lock request at non-server node";
   bool grant_now = false;
   nego_lock_.lock();
+  // nego_mutex_ on every node keeps one request per node outstanding.
+  PM2_CHECK(!(lock_held_ && lock_owner_ == w.node) &&
+            std::none_of(lock_queue_.begin(), lock_queue_.end(),
+                         [&](const Waiter& q) { return q.node == w.node; }))
+      << "two outstanding system-lock requests from node " << w.node;
   if (!lock_held_) {
     lock_held_ = true;
-    lock_owner_ = from;
+    lock_owner_ = w.node;
     grant_now = true;
   } else {
-    lock_queue_.push_back(from);
+    lock_queue_.push_back(w);
   }
   nego_lock_.unlock();
-  if (grant_now) {
-    fabric::Message grant;
-    grant.type = kLockGrant;
-    grant.dst = from;
-    fabric_send(std::move(grant));
-  }
+  if (grant_now) answer(w, kLockGrant);
 }
 
 void Runtime::handle_unlock(uint32_t from) {
   PM2_CHECK(config_.node == 0) << "unlock at non-server node";
-  marcel::Event* waiter = nullptr;
-  uint32_t next = 0;
-  bool grant_remote = false;
   nego_lock_.lock();
   PM2_CHECK(lock_held_ && lock_owner_ == from)
       << "unlock by non-owner " << from;
@@ -103,23 +73,11 @@ void Runtime::handle_unlock(uint32_t from) {
     nego_lock_.unlock();
     return;
   }
-  next = lock_queue_.front();
+  Waiter next = lock_queue_.front();
   lock_queue_.erase(lock_queue_.begin());
-  lock_owner_ = next;
-  if (next == 0) {
-    waiter = lock_wait_;
-    PM2_CHECK(waiter != nullptr);
-  } else {
-    grant_remote = true;
-  }
+  lock_owner_ = next.node;
   nego_lock_.unlock();
-  if (waiter != nullptr) waiter->set();
-  if (grant_remote) {
-    fabric::Message grant;
-    grant.type = kLockGrant;
-    grant.dst = next;
-    fabric_send(std::move(grant));
-  }
+  answer(next, kLockGrant);
 }
 
 void Runtime::handle_gather_req(fabric::Message& msg) {
@@ -188,9 +146,8 @@ std::vector<Bitmap> Runtime::gather_all_bitmaps() {
   for (uint32_t node = 0; node < config_.n_nodes; ++node) {
     if (node == config_.node) continue;
     uint64_t corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
-    // No deadline: gathers run under the system lock, whose own waiter is
-    // failed by the peer-down sweep; the sweep also fails these futures if
-    // the gathered peer dies mid-collection.
+    // No deadline: gathers run under the system lock, and the peer-down
+    // sweep fails these futures if the gathered peer dies mid-collection.
     marcel::Future<std::vector<uint8_t>> fut = register_pending(corr, node, 0);
     fabric::Message req;
     req.type = kGatherReq;

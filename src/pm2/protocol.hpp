@@ -8,10 +8,11 @@
 namespace pm2 {
 
 enum MsgType : uint16_t {
-  // Shutdown / collectives
+  // Shutdown / collectives.  A barrier release answers the arrival's corr
+  // (the arriving node's registered wait); both carry no payload.
   kHalt = 1,
-  kBarrierArrive,   // node -> 0           {u32 seq}
-  kBarrierRelease,  // 0 -> all            {u32 seq}
+  kBarrierArrive,   // node -> 0           {}  corr = the node's wait
+  kBarrierRelease,  // 0 -> node           {}  corr = matching arrival
   kSignal,          // point-to-point completion token
 
   // Remote thread creation (LRPC) and replies.  The service field is the
@@ -26,9 +27,9 @@ enum MsgType : uint16_t {
   kMigrate,  // serialized thread: descriptor address + slot images
 
   // Global negotiation (paper §4.4): system-wide critical section on the
-  // slot bitmaps, hosted by node 0.
-  kLockReq,    // node -> 0
-  kLockGrant,  // 0 -> node
+  // slot bitmaps, hosted by node 0.  A grant answers the request's corr.
+  kLockReq,    // node -> 0            {}  corr = the node's wait
+  kLockGrant,  // 0 -> node            {}  corr = matching request
   kUnlock,     // node -> 0
   kGatherReq,  // initiator -> node    (freezes the peer's bitmap)
   kGatherResp, // node -> initiator    {bitmap words}

@@ -849,12 +849,12 @@ marcel::Future<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
   }
   uint64_t corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
   pending_lock_.lock();
-  if (halting()) {
-    // halt()'s drain already swept the map; registering now would hang the
-    // future forever.  Re-freeze nothing — fail fast like the check above.
+  if (std::string why = registration_refusal(dest); !why.empty()) {
+    // halt()'s drain already swept the map, or the destination went down
+    // since the check above: fail fast like that check.
     pending_lock_.unlock();
     sched_.unfreeze(t);
-    promise.set_error("session halting");
+    promise.set_error(std::move(why));
     return fut;
   }
   pending_.emplace(corr, Pending{dest, /*shipped=*/false,
@@ -873,9 +873,7 @@ marcel::Future<MigrateResult> Runtime::migrate_async(marcel::ThreadId id,
       it != pending_.end()) {  // ack may already have landed
     it->second.shipped = true;
     if (peer_down(dest)) {
-      lost = std::move(it->second);
-      pending_.erase(it);
-      tombstone_locked(corr);
+      lost = unlink_locked(it);
     } else if (deadline != 0) {
       deadlines_.push(DeadlineEnt{deadline, corr});
     }
@@ -1053,13 +1051,6 @@ marcel::Future<std::vector<uint8_t>> Runtime::call_async_hash(
     uint32_t node, uint32_t service, mad::PackBuffer&& args, bool framed,
     uint64_t timeout_ns) {
   PM2_CHECK(node < config_.n_nodes);
-  if (halting() || (node != config_.node && peer_down(node))) {
-    ReplyPromise p;
-    p.set_error(halting() ? std::string("session halting")
-                          : std::string(kRpcPeerDownPrefix) + ": node " +
-                                std::to_string(node) + " is down");
-    return p.future();
-  }
   uint64_t corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
   marcel::Future<std::vector<uint8_t>> fut =
       register_pending(corr, node, resolve_deadline(timeout_ns));
@@ -1083,28 +1074,36 @@ marcel::Future<std::vector<uint8_t>> Runtime::register_pending(
   ReplyPromise promise;
   marcel::Future<std::vector<uint8_t>> fut = promise.future();
   pending_lock_.lock();
-  if (halting()) {
-    // halt()'s drain already swept the table (the halting_ store precedes
-    // the drain's lock hold): an entry registered now would never complete.
+  if (std::string why = registration_refusal(dest); !why.empty()) {
     pending_lock_.unlock();
-    promise.set_error("session halting");
+    promise.set_error(std::move(why));
     return fut;
   }
   pending_.emplace(corr, Pending{dest, /*shipped=*/true, std::move(promise)});
+  if (dest == kAnyNode) ++any_node_waits_;
   if (deadline_ns != 0) deadlines_.push(DeadlineEnt{deadline_ns, corr});
   pending_lock_.unlock();
   if (deadline_ns != 0) schedule_upkeep(kUpkeepDeadlines, deadline_ns);
   return fut;
 }
 
-void Runtime::tombstone_locked(uint64_t corr) {
-  if (tombstones_.insert(corr).second) {
-    tombstone_fifo_.push_back(corr);
-    if (tombstone_fifo_.size() > kTombstoneCap) {
-      tombstones_.erase(tombstone_fifo_.front());
-      tombstone_fifo_.pop_front();
-    }
+std::string Runtime::registration_refusal(uint32_t dest) const {
+  // Checked under pending_lock_: halt()'s drain empties the table in one
+  // hold after the halting_ store, so an entry registered after it would
+  // never complete.
+  if (halting()) return "session halting";
+  for (uint32_t n = 0; n < config_.n_nodes; ++n) {
+    if ((dest == n || dest == kAnyNode) && peer_down(n))
+      return std::string(kRpcPeerDownPrefix) + ": node " + std::to_string(n) +
+             " is down";
   }
+  return {};
+}
+
+Runtime::Pending Runtime::unlink_locked(
+    std::unordered_map<uint64_t, Pending>::iterator it) {
+  if (it->second.dest == kAnyNode) --any_node_waits_;
+  return std::move(pending_.extract(it).mapped());
 }
 
 uint64_t Runtime::resolve_deadline(uint64_t timeout_ns) const {
@@ -1124,9 +1123,7 @@ uint64_t Runtime::expire_deadlines(uint64_t now) {
       deadlines_.pop();
       auto it = pending_.find(corr);
       if (it == pending_.end()) continue;  // already resolved
-      due = std::move(it->second);
-      pending_.erase(it);
-      tombstone_locked(corr);
+      due = unlink_locked(it);
       break;
     }
     uint64_t next =
@@ -1177,26 +1174,14 @@ void Runtime::fail_entry(Pending&& ent, const std::string& why,
 
 std::optional<Runtime::Pending> Runtime::take_pending(uint64_t corr,
                                                       const char* what) {
-  pending_lock_.lock();
+  sys::SpinGuard g(pending_lock_);
   auto it = pending_.find(corr);
-  if (it == pending_.end()) {
-    bool late = tombstones_.count(corr) != 0;
-    pending_lock_.unlock();
-    if (late) {
-      late_replies_dropped_.fetch_add(1, std::memory_order_relaxed);
-      PM2_DEBUG << "dropping late " << what << " (corr " << corr << ")";
-      return std::nullopt;
-    }
-    PM2_CHECK(halting()) << what << " with no pending waiter";
-    return std::nullopt;
-  }
-  Pending ent = std::move(it->second);
-  pending_.erase(it);
-  // Every resolved corr is tombstoned so a *duplicate* of its reply
-  // (fault injection) is also dropped silently.
-  tombstone_locked(corr);
-  pending_lock_.unlock();
-  return ent;
+  if (it != pending_.end()) return unlink_locked(it);
+  PM2_CHECK(corr != 0 && corr < next_corr_.load(std::memory_order_relaxed))
+      << what << " for corr " << corr << ", which was never issued";
+  late_replies_dropped_.fetch_add(1, std::memory_order_relaxed);
+  PM2_DEBUG << "dropping late " << what << " (corr " << corr << ")";
+  return std::nullopt;
 }
 
 void Runtime::complete_pending(uint64_t corr, std::vector<uint8_t>&& result,
@@ -1212,11 +1197,12 @@ void Runtime::fail_pending(uint64_t corr, std::string why, const char* what) {
 void Runtime::drain_pending(const std::string& why) {
   // Swap the table out under the lock first: set_error unparks waiters,
   // and a woken thread must not find its corr still registered.  Armed
-  // deadlines die with their entries (take_pending tolerates late replies
-  // while halting anyway).
+  // deadlines die with their entries, and a reply that arrives after the
+  // drain is dropped as late.
   pending_lock_.lock();
   auto drained = std::move(pending_);
   pending_.clear();
+  any_node_waits_ = 0;
   deadlines_ = {};
   pending_lock_.unlock();
   for (auto& [corr, ent] : drained)
@@ -1266,64 +1252,69 @@ void RpcContext::reply(mad::PackBuffer&& result) {
 void Runtime::barrier() {
   PM2_CHECK(marcel::Scheduler::self() != nullptr) << "barrier outside thread";
   trace_event(trace::Event::kBarrier);
-  // A barrier cannot complete without every node: with failure detection
-  // on, error out instead of parking forever behind a dead peer.
-  if (peers_ != nullptr) {
-    for (uint32_t n = 0; n < config_.n_nodes; ++n) {
-      if (n != config_.node && peer_down(n))
-        throw RpcError(std::string(kRpcPeerDownPrefix) + ": node " +
-                       std::to_string(n) + " is down, barrier cannot complete");
-    }
-  }
-  marcel::Event ev;
-  // Decide under barrier_lock_ (the comm daemon's arrival handler races
-  // the coordinator's own local arrival at workers > 1); send and set the
-  // event outside it.
-  bool release_all = false;
-  barrier_lock_.lock();
-  PM2_CHECK(barrier_waiter_ == nullptr) << "concurrent barriers on one node";
-  barrier_waiter_ = &ev;
-  uint32_t seq = barrier_seq_;
+  marcel::Future<std::vector<uint8_t>> release =
+      wait_on_coordinator(kBarrierArrive, &Runtime::handle_barrier_arrive);
+  // A halting session has nothing left to synchronize: the drain's
+  // failure (or the refused registration) releases the barrier.
+  if (release.failed() && !halting()) throw RpcError(release.error());
+}
+
+marcel::Future<std::vector<uint8_t>> Runtime::wait_on_coordinator(
+    uint16_t type, void (Runtime::*handle)(const Waiter&)) {
+  // The coordinator's answer needs every node, so the wait is on kAnyNode:
+  // registration refuses while a peer is down, and a peer's down verdict
+  // fails the wait.
+  uint64_t corr = next_corr_.fetch_add(1, std::memory_order_relaxed);
+  marcel::Future<std::vector<uint8_t>> answered =
+      register_pending(corr, kAnyNode, 0);
+  if (answered.failed()) return answered;
   if (config_.node == 0) {
-    // Local arrival at the coordinator.
-    if (++barrier_arrivals_ == config_.n_nodes) {
-      barrier_arrivals_ = 0;
-      ++barrier_seq_;
-      release_all = true;
-    }
-  }
-  barrier_lock_.unlock();
-  if (config_.node == 0) {
-    if (release_all) {
-      for (uint32_t n = 1; n < config_.n_nodes; ++n) {
-        fabric::Message msg;
-        msg.type = kBarrierRelease;
-        msg.dst = n;
-        ByteWriter w;
-        w.put<uint32_t>(seq);
-        msg.payload = w.take();
-        fabric_send(std::move(msg));
-      }
-      ev.set();
-    }
+    (this->*handle)(Waiter{0, corr});
   } else {
     fabric::Message msg;
-    msg.type = kBarrierArrive;
+    msg.type = type;
     msg.dst = 0;
-    ByteWriter w;
-    w.put<uint32_t>(seq);
-    msg.payload = w.take();
+    msg.corr = corr;
     fabric_send(std::move(msg));
   }
-  ev.wait();
+  answered.wait();
+  return answered;
+}
+
+void Runtime::handle_barrier_arrive(const Waiter& w) {
+  PM2_CHECK(config_.node == 0) << "barrier arrival at non-coordinator";
+  // A node waits in one barrier at a time, so a second arrival supersedes
+  // a first whose wait has failed (peer-down) and keeps the count exact.
+  std::vector<Waiter> released;
   barrier_lock_.lock();
-  barrier_waiter_ = nullptr;
-  // The peer-down sweep wakes a parked barrier with an error note instead
-  // of a release: surface it as RpcError (kPeerDown) to the caller.
-  std::string err = std::move(barrier_error_);
-  barrier_error_.clear();
+  auto it = std::find_if(barrier_arrivals_.begin(), barrier_arrivals_.end(),
+                         [&](const Waiter& a) { return a.node == w.node; });
+  if (it != barrier_arrivals_.end()) {
+    *it = w;
+  } else {
+    barrier_arrivals_.push_back(w);
+  }
+  if (barrier_arrivals_.size() == config_.n_nodes)
+    released.swap(barrier_arrivals_);
   barrier_lock_.unlock();
-  if (!err.empty()) throw RpcError(err);
+  // Coordinator last: released early, it may halt the session on another
+  // worker, and its halt must not overtake the peers' releases.
+  std::stable_partition(released.begin(), released.end(), [&](const Waiter& a) {
+    return a.node != config_.node;
+  });
+  for (const Waiter& a : released) answer(a, kBarrierRelease);
+}
+
+void Runtime::answer(const Waiter& w, uint16_t type) {
+  if (w.node == config_.node) {
+    complete_pending(w.corr, {}, "local answer");
+    return;
+  }
+  fabric::Message msg;
+  msg.type = type;
+  msg.dst = w.node;
+  msg.corr = w.corr;
+  fabric_send(std::move(msg));
 }
 
 void Runtime::send_signal(uint32_t node) {
@@ -1408,7 +1399,7 @@ void Runtime::peer_seen(uint32_t node) {
     // Any frame from a suspect/down peer is proof of recovery: a healed
     // partition or a flapping link rejoins without ceremony.  (Pending
     // requests already failed by the down sweep stay failed — at-least-once
-    // callers retry; the tombstones swallow the stale replies.)
+    // callers retry; their stale replies are dropped as late.)
     h.state.store(static_cast<uint8_t>(PeerState::kUp),
                   std::memory_order_release);
     PM2_WARN << "node " << node << " is back up";
@@ -1462,48 +1453,26 @@ void Runtime::mark_peer_down(uint32_t node) {
   const std::string why = std::string(kRpcPeerDownPrefix) + ": node " +
                           std::to_string(node) + " unreachable";
   // Sweep the correlation table under pending_lock_; fail the entries
-  // outside it (set_error may direct-switch to the woken thread).  Stale
-  // deadline-heap entries for the swept correlations are popped lazily by
-  // expire_deadlines (tombstoned corr -> table miss -> skip).
+  // outside it (set_error may direct-switch to the woken thread).  Waits
+  // on kAnyNode (barrier, system lock) need every peer, so they fail too.
+  // Stale deadline-heap entries for the swept correlations are popped
+  // lazily by expire_deadlines (resolved corr -> table miss -> skip).
   std::vector<Pending> lost;
   pending_lock_.lock();
   for (auto it = pending_.begin(); it != pending_.end();) {
     // Skip unshipped migrations: the migrating worker is still mid-pack
     // and owns the thread; its post-ship code re-checks peer_down and
     // rolls back on its own.
-    if (it->second.dest == node && it->second.shipped) {
-      tombstone_locked(it->first);
-      lost.push_back(std::move(it->second));
-      it = pending_.erase(it);
-    } else {
-      ++it;
-    }
+    auto cur = it++;
+    if ((cur->second.dest == node || cur->second.dest == kAnyNode) &&
+        cur->second.shipped)
+      lost.push_back(unlink_locked(cur));
   }
   pending_lock_.unlock();
   for (Pending& ent : lost) {
     peer_down_failures_.fetch_add(1, std::memory_order_relaxed);
     fail_entry(std::move(ent), why);
   }
-  // A parked barrier can never complete without `node`: wake the waiter
-  // with the error recorded instead of leaving it parked forever.
-  marcel::Event* bwaiter = nullptr;
-  barrier_lock_.lock();
-  if (barrier_waiter_ != nullptr && barrier_error_.empty()) {
-    barrier_error_ = why + ", barrier cannot complete";
-    bwaiter = barrier_waiter_;
-  }
-  barrier_lock_.unlock();
-  if (bwaiter != nullptr) bwaiter->set();
-  // Same for a thread waiting on the global system lock: the negotiation
-  // protocol needs every participant, so the waiter aborts loudly.
-  marcel::Event* lwaiter = nullptr;
-  nego_lock_.lock();
-  if (lock_wait_ != nullptr) {
-    nego_peer_lost_ = true;
-    lwaiter = lock_wait_;
-  }
-  nego_lock_.unlock();
-  if (lwaiter != nullptr) lwaiter->set();
 }
 
 // ---------------------------------------------------------------------------
@@ -1515,11 +1484,12 @@ void Runtime::daemon_trampoline(void* runtime) {
 }
 
 bool Runtime::reply_is_imminent() const {
-  // A non-empty correlation table means some local thread issued a request
+  // A pending call or migration means some local thread issued a request
   // whose reply is the next thing this node is waiting for — the only
   // situation where burning the idle window on a poll loop buys latency.
+  // A barrier or lock wait (kAnyNode) may last a whole session phase.
   sys::SpinGuard g(pending_lock_);
-  return !pending_.empty();
+  return pending_.size() > any_node_waits_;
 }
 
 void Runtime::fabric_send(fabric::Message msg) {
@@ -1698,47 +1668,12 @@ void Runtime::handle_message(fabric::Message& msg) {
       fabric_->set_teardown(true);
       drain_pending("session shutdown");
       break;
-    case kBarrierArrive: {
-      PM2_CHECK(config_.node == 0) << "barrier arrival at non-coordinator";
-      // Mutate under barrier_lock_ (racing the coordinator's own local
-      // arrival on another worker); sends and the waiter wake-up happen
-      // outside.  The waiter pointer stays valid until its thread returns
-      // from ev.wait(), which cannot happen before set().
-      bool release_all = false;
-      uint32_t seq = 0;
-      marcel::Event* waiter = nullptr;
-      barrier_lock_.lock();
-      if (++barrier_arrivals_ == config_.n_nodes) {
-        barrier_arrivals_ = 0;
-        seq = barrier_seq_++;
-        release_all = true;
-        waiter = barrier_waiter_;
-      }
-      barrier_lock_.unlock();
-      if (release_all) {
-        for (uint32_t n = 1; n < config_.n_nodes; ++n) {
-          fabric::Message rel;
-          rel.type = kBarrierRelease;
-          rel.dst = n;
-          ByteWriter w;
-          w.put<uint32_t>(seq);
-          rel.payload = w.take();
-          fabric_->send(std::move(rel));
-        }
-        PM2_CHECK(waiter != nullptr)
-            << "all nodes arrived but coordinator never entered the barrier";
-        waiter->set(/*direct_handoff=*/true);
-      }
+    case kBarrierArrive:
+      handle_barrier_arrive(Waiter{msg.src, msg.corr});
       break;
-    }
-    case kBarrierRelease: {
-      barrier_lock_.lock();
-      marcel::Event* waiter = barrier_waiter_;
-      barrier_lock_.unlock();
-      PM2_CHECK(waiter != nullptr) << "spurious barrier release";
-      waiter->set(/*direct_handoff=*/true);
+    case kBarrierRelease:
+      complete_pending(msg.corr, {}, "barrier release");
       break;
-    }
     case kSignal:
       ++signals_received_;
       signal_sem_.release();
@@ -1766,16 +1701,11 @@ void Runtime::handle_message(fabric::Message& msg) {
       break;
     }
     case kLockReq:
-      handle_lock_req(msg.src);
+      handle_lock_req(Waiter{msg.src, msg.corr});
       break;
-    case kLockGrant: {
-      nego_lock_.lock();
-      marcel::Event* waiter = lock_wait_;
-      nego_lock_.unlock();
-      PM2_CHECK(waiter != nullptr) << "spurious lock grant";
-      waiter->set(/*direct_handoff=*/true);
+    case kLockGrant:
+      complete_pending(msg.corr, {}, "lock grant");
       break;
-    }
     case kUnlock:
       handle_unlock(msg.src);
       break;

@@ -281,9 +281,9 @@ struct RuntimeConfig {
   bool slot_store_recover = false;
   /// Default request deadline: call_async / call<R> / migrate_async fail
   /// with a kTimeout error when no reply arrived within this window (the
-  /// correlation is tombstoned, so a late reply is dropped instead of
-  /// double-resolving).  0 (default) keeps the legacy unbounded behavior
-  /// bit-for-bit; the PM2_RPC_TIMEOUT_MS environment variable overrides a
+  /// correlation is resolved, so a late reply is counted and dropped
+  /// instead of double-resolving).  0 (default) keeps the legacy unbounded
+  /// behavior bit-for-bit; the PM2_RPC_TIMEOUT_MS environment variable overrides a
   /// zero value, so chaos runs can arm deadlines in spawned node processes
   /// without code changes.  Per-call deadlines override both.
   uint64_t rpc_timeout_ns = 0;
@@ -582,7 +582,9 @@ class Runtime {
 
   /// All-node barrier (each node's threads may call it, one at a time).
   /// When failure detection is on, throws RpcError (kPeerDown) instead of
-  /// hanging if a peer is — or while waiting becomes — declared down.
+  /// hanging if a peer is — or while waiting becomes — declared down.  A
+  /// halting session releases every barrier: a wait the halt drain fails
+  /// (or one entered while halting) returns normally.
   void barrier();
 
   /// Completion tokens: wait_signals(n) blocks until n kSignal messages
@@ -717,8 +719,8 @@ class Runtime {
     return rpc_timeouts_.load(std::memory_order_relaxed);
   }
   /// Replies/acks that arrived after their correlation was resolved
-  /// (timeout, peer-down sweep, or an injected duplicate) and were dropped
-  /// via the tombstone instead of double-resolving a promise.
+  /// (timeout, peer-down sweep, halt drain, or an injected duplicate) and
+  /// were dropped instead of double-resolving a promise.
   uint64_t late_replies_dropped() const {
     return late_replies_dropped_.load(std::memory_order_relaxed);
   }
@@ -837,7 +839,8 @@ class Runtime {
   /// in place); otherwise the hash is spliced ahead of the caller-packed
   /// arguments.  send_rpc dispatches locally or puts the kRpc frame on
   /// the wire (corr 0 = fire-and-forget); call_async_hash registers the
-  /// correlation first, failing fast while halting or to a down peer.
+  /// correlation first (register_pending fails fast while halting or to a
+  /// down peer) and sends only if that succeeded.
   void send_rpc(uint32_t node, uint32_t service, uint64_t corr,
                 mad::PackBuffer&& args, bool framed);
   marcel::Future<std::vector<uint8_t>> call_async_hash(uint32_t node,
@@ -847,7 +850,9 @@ class Runtime {
                                                        uint64_t timeout_ns);
 
   /// Comm-daemon spin gate: true while some local thread awaits a reply
-  /// or migration ack (see comm_daemon_body's adaptive busy-poll).
+  /// or migration ack (see comm_daemon_body's adaptive busy-poll).  Barrier
+  /// and system-lock waits (kAnyNode) do not count: they can last a whole
+  /// session phase, and spinning for them would burn every idle window.
   bool reply_is_imminent() const;
 
   template <typename F>
@@ -873,48 +878,57 @@ class Runtime {
     std::vector<std::pair<size_t, size_t>> runs;
   };
   /// One outstanding correlation: a call (RPC, gather, audit) awaiting its
-  /// reply or a migration awaiting its install ack.  `dest` is the node
-  /// that must answer (peer-down sweep); an armed deadline lives on the
-  /// deadline heap only.  A migration is registered *before* ship_thread
-  /// so an early ack always finds it, but rollback is only legal once the
-  /// pack/forget/send has finished — its deadline is armed and the
-  /// peer-down sweep may touch it only after migrate_async sets
-  /// `shipped`.  Calls are shipped from the start.
+  /// reply, a barrier awaiting its release, a system-lock request awaiting
+  /// its grant, or a migration awaiting its install ack.  `dest` is the
+  /// node that must answer (peer-down sweep), or kAnyNode for a wait that
+  /// needs every peer (barrier, system lock): any peer's down verdict fails
+  /// it.  An armed deadline lives on the deadline heap only.  A migration
+  /// is registered *before* ship_thread so an early ack always finds it,
+  /// but rollback is only legal once the pack/forget/send has finished —
+  /// its deadline is armed and the peer-down sweep may touch it only after
+  /// migrate_async sets `shipped`.  Calls are shipped from the start.
+  static constexpr uint32_t kAnyNode = UINT32_MAX;
   struct Pending {
     uint32_t dest = 0;
     bool shipped = true;
     std::variant<ReplyPromise, MigrationWait> waiter;
   };
 
-  /// Correlation bookkeeping shared by RPC replies, negotiation gathers
-  /// and audits: register_pending hands out the future completed by
-  /// complete_pending / fail_pending when the matching corr arrives.
-  /// `dest` is the node the reply must come from; `deadline_ns` (absolute,
-  /// 0 = none) arms the timeout machinery.
+  /// Correlation bookkeeping shared by RPC replies, barriers, system-lock
+  /// grants, negotiation gathers and audits: register_pending hands out the
+  /// future completed by complete_pending / fail_pending when the matching
+  /// corr arrives.  `dest` is the node the reply must come from (kAnyNode:
+  /// see Pending); `deadline_ns` (absolute, 0 = none) arms the timeout
+  /// machinery.  Registration is the one fail-fast point: while the session
+  /// halts, or when `dest` (for kAnyNode, any peer) is down, the returned
+  /// future has already failed and nothing is registered.
   marcel::Future<std::vector<uint8_t>> register_pending(uint64_t corr,
                                                         uint32_t dest,
                                                         uint64_t deadline_ns);
+  /// Why a wait on `dest` cannot be registered now (empty: it can).
+  std::string registration_refusal(uint32_t dest) const
+      PM2_REQUIRES(pending_lock_);
   void complete_pending(uint64_t corr, std::vector<uint8_t>&& result,
                         const char* what);
   void fail_pending(uint64_t corr, std::string why, const char* what);
 
-  /// Remove and return the entry for `corr`.  nullopt for an unknown
-  /// correlation, which is tolerated in two cases: the corr was already
-  /// resolved and tombstoned (deadline expiry, peer-down sweep, injected
-  /// duplicate — the late frame is counted and dropped), or the session is
-  /// halting (a reply may race the shutdown drain).  Anything else is a
-  /// protocol bug.  The caller resolves the entry *outside* pending_lock_
-  /// (completion unblocks the waiter, which may run scheduler code).
+  /// Remove and return the entry for `corr`.  nullopt when it is not
+  /// pending.  Corr ids only grow, so an issued corr (below next_corr_)
+  /// that is no longer pending has been resolved — by its reply, deadline
+  /// expiry, the peer-down sweep or the halt drain — and the frame is a
+  /// late or duplicated answer: counted and dropped.  A corr that was never
+  /// issued is a protocol bug.  The caller resolves the entry *outside*
+  /// pending_lock_ (completion unblocks the waiter, which may run
+  /// scheduler code).
   std::optional<Pending> take_pending(uint64_t corr, const char* what);
   /// Fail a removed entry with `why`.  A migration is first rolled back —
   /// its thread adopted back onto this node — unless `rollback` is off
   /// (the halt drain).  Callers hold no locks.
   void fail_entry(Pending&& ent, const std::string& why, bool rollback = true);
 
-  /// Record `corr` as resolved (bounded FIFO) so late/duplicate replies
-  /// are dropped instead of double-resolving or tripping the
-  /// unknown-correlation check.
-  void tombstone_locked(uint64_t corr) PM2_REQUIRES(pending_lock_);
+  /// Unlink a table entry, keeping the kAnyNode wait count in step.
+  Pending unlink_locked(std::unordered_map<uint64_t, Pending>::iterator it)
+      PM2_REQUIRES(pending_lock_);
   /// Upkeep task: fail every armed correlation whose deadline passed.
   /// Returns the next armed deadline (UINT64_MAX when none).
   uint64_t expire_deadlines(uint64_t now);
@@ -931,13 +945,28 @@ class Runtime {
   /// returns its next due time.
   uint64_t send_heartbeats(uint64_t now);
   uint64_t scan_peers(uint64_t now);
-  /// Declare `node` dead: fail its pending calls with kPeerDown, roll back
-  /// its in-flight migrations, and unwedge barrier/negotiation waiters.
+  /// Declare `node` dead: fail its pending calls, barrier and system-lock
+  /// waits with kPeerDown, and roll back its in-flight migrations.
   void mark_peer_down(uint32_t node);
   /// halt(): wake every thread blocked on a pending call or migration ack
   /// with an error instead of leaving it parked forever.
   void drain_pending(const std::string& why);
-  void handle_lock_req(uint32_t from);
+  /// One node's wait at a node-0 coordinator (barrier arrival, queued
+  /// lock request): the node and the corr its release/grant answers.
+  struct Waiter {
+    uint32_t node = 0;
+    uint64_t corr = 0;
+  };
+  /// Register a kAnyNode wait, arrive at node 0 with a `type` frame (or,
+  /// on node 0, through `handle`), and wait for the answer.  Returns the
+  /// completed or failed future.
+  marcel::Future<std::vector<uint8_t>> wait_on_coordinator(
+      uint16_t type, void (Runtime::*handle)(const Waiter&));
+  /// Answer `w` with an empty frame of `type`: locally through
+  /// complete_pending, remotely on the wire.
+  void answer(const Waiter& w, uint16_t type);
+  void handle_barrier_arrive(const Waiter& w);
+  void handle_lock_req(const Waiter& w);
   void handle_unlock(uint32_t from);
   void handle_gather_req(fabric::Message& msg);
   void handle_audit_req(fabric::Message& msg);
@@ -1035,14 +1064,9 @@ class Runtime {
   mutable sys::SpinLock pending_lock_{sys::LockRank::kRuntimeMaps};
   std::atomic<uint64_t> next_corr_{1};
   std::unordered_map<uint64_t, Pending> pending_ PM2_GUARDED_BY(pending_lock_);
-
-  // Resolved-correlation tombstones (bounded FIFO): late or duplicated
-  // replies for these corrs are dropped, not treated as protocol bugs.
-  // Corr ids are never reused (next_corr_ only grows), so a tombstone can
-  // never shadow a live request.
-  static constexpr size_t kTombstoneCap = 1024;
-  std::unordered_set<uint64_t> tombstones_ PM2_GUARDED_BY(pending_lock_);
-  std::deque<uint64_t> tombstone_fifo_ PM2_GUARDED_BY(pending_lock_);
+  // Entries of pending_ registered for kAnyNode (barrier, system lock):
+  // the busy-poll gate counts only the rest.
+  size_t any_node_waits_ PM2_GUARDED_BY(pending_lock_) = 0;
 
   // Min-heap of armed (non-zero) deadlines, popped lazily (an entry is
   // live only while its corr is still pending).  Arming pushes here, then
@@ -1103,34 +1127,23 @@ class Runtime {
   MigrationHook pre_migration_;
   MigrationHook post_migration_;
 
-  // Barrier (centralized at node 0), state under barrier_lock_.
-  // barrier_error_: set by the peer-down sweep before waking the waiter;
-  // barrier() rethrows it instead of reporting the barrier complete.
+  // Barrier coordinator (node 0 only): the arrivals of the current round.
   sys::SpinLock barrier_lock_{sys::LockRank::kRuntimeMaps};
-  uint32_t barrier_seq_ PM2_GUARDED_BY(barrier_lock_) = 0;
-  uint32_t barrier_arrivals_ PM2_GUARDED_BY(barrier_lock_) = 0;  // node 0 only
-  marcel::Event* barrier_waiter_ PM2_GUARDED_BY(barrier_lock_) = nullptr;
-  std::string barrier_error_ PM2_GUARDED_BY(barrier_lock_);
+  std::vector<Waiter> barrier_arrivals_ PM2_GUARDED_BY(barrier_lock_);
 
   // Signals
   std::atomic<uint64_t> signals_received_{0};
   marcel::Semaphore signal_sem_{0};
 
-  // Negotiation state, under nego_lock_: lock-server fields (node 0 only)
-  // and this node's lock_wait_ event pointer.
+  // Lock-server state (node 0 only), under nego_lock_.
   sys::SpinLock nego_lock_{sys::LockRank::kRuntimeMaps};
   bool lock_held_ PM2_GUARDED_BY(nego_lock_) = false;
   uint32_t lock_owner_ PM2_GUARDED_BY(nego_lock_) = 0;
-  std::vector<uint32_t> lock_queue_ PM2_GUARDED_BY(nego_lock_);
+  std::vector<Waiter> lock_queue_ PM2_GUARDED_BY(nego_lock_);
   // nego_mutex_ serializes this node's threads entering the system-wide
-  // critical section (the lock server tracks one outstanding request per
+  // critical section (the lock server checks one outstanding request per
   // node).
   marcel::Mutex nego_mutex_;
-  marcel::Event* lock_wait_ PM2_GUARDED_BY(nego_lock_) = nullptr;
-  // Set by the peer-down sweep while a thread waits for the system lock:
-  // the global bitmap protocol cannot survive losing a participant, so the
-  // woken waiter aborts loudly instead of hanging.
-  bool nego_peer_lost_ PM2_GUARDED_BY(nego_lock_) = false;
   // Slot-bitmap state, under slot_lock_: the SlotManager itself, the freeze
   // depth (>0 between GatherReq and NegoUpdate of a remote negotiation and
   // while this node runs its own), deferred releases, and the wait queue of

@@ -1,5 +1,5 @@
 // Fault-tolerant sessions: deterministic fault injection (FaultFabric),
-// RPC/migration deadlines with tombstoned correlations, and heartbeat-based
+// RPC/migration deadlines whose late replies are dropped, and heartbeat-based
 // peer failure detection.
 //
 // Coverage:
@@ -7,8 +7,11 @@
 //     in-process hub (no runtime);
 //   * a deadlined call against a partitioned peer fails kTimeout within
 //     2x the deadline, also when armed off the comm daemon's worker;
-//   * a reply arriving after the deadline is dropped by the correlation
-//     tombstone (counter increments, no double-resolve);
+//   * a reply arriving after the deadline is dropped (counter increments,
+//     no double-resolve), also after many other correlations resolved;
+//   * per-link FIFO under injected delay;
+//   * a barrier fails kPeerDown when a peer is declared down, then fails
+//     fast; a halt releases a parked barrier;
 //   * a timed-out migration rolls back: the thread is runnable at the
 //     source again and the destination never saw it (exactly one owner);
 //   * seeded chaos (random drops) with at-least-once retries still
@@ -176,6 +179,35 @@ TEST(FaultFabricTest, DelayHoldsFramesUntilRelease) {
   EXPECT_EQ(dynamic_cast<FaultFabric*>(ep0.get())->stats().delayed, 1u);
 }
 
+TEST(FaultFabricTest, DelayKeepsEachLinkFifo) {
+  // Both real transports are FIFO per link, and the control protocols rely
+  // on it (a halt must not overtake a barrier release): a frame that draws
+  // no delay still queues behind a held frame to the same destination.
+  constexpr int kFrames = 50;
+  auto hub = std::make_shared<fabric::InProcHub>(2);
+  auto ep0 = fabric::wrap_with_faults(
+      hub->endpoint(0), FaultPlan::parse("delay=20ms,delay_p=0.5,seed=3"));
+  auto ep1 = hub->endpoint(1);
+  for (int i = 0; i < kFrames; ++i) {
+    fabric::Message m = user_frame(1, 1);
+    m.payload[0] = static_cast<uint8_t>(i);
+    ep0->send(std::move(m));
+  }
+  std::vector<int> got;
+  const uint64_t give_up = now_ns() + 2'000'000'000;
+  while (got.size() < kFrames && now_ns() < give_up) {
+    ep0->try_recv();  // sender-side activity releases due frames
+    if (auto m = ep1->try_recv()) {
+      got.push_back(m->payload[0]);
+    } else {
+      ::usleep(1'000);
+    }
+  }
+  ASSERT_EQ(got.size(), static_cast<size_t>(kFrames));
+  for (int i = 0; i < kFrames; ++i) EXPECT_EQ(got[i], i) << "frame " << i;
+  EXPECT_GT(dynamic_cast<FaultFabric*>(ep0.get())->stats().delayed, 0u);
+}
+
 // --- deadlines against a partitioned peer ------------------------------------
 
 int echo_service(RpcContext&, int v) { return v; }
@@ -271,7 +303,7 @@ TEST(FaultInjection, DeadlineArmedOffTheDaemonWorkerFiresOnTime) {
   EXPECT_LT(r.elapsed.load(), 2 * kDeadlineNs);
 }
 
-TEST(FaultInjection, LateReplyAfterTimeoutIsTombstoned) {
+TEST(FaultInjection, LateReplyAfterTimeoutIsDropped) {
   std::atomic<int> code{-1}, second{-1};
   std::atomic<uint64_t> late{0}, timeouts{0};
   AppConfig cfg;
@@ -287,7 +319,7 @@ TEST(FaultInjection, LateReplyAfterTimeoutIsTombstoned) {
           code = static_cast<int>(rpc_error_code(e.what()));
         }
         // The service replies at ~120 ms; the correlation is already
-        // tombstoned, so the reply must be dropped — not resolve anything.
+        // resolved, so the reply must be dropped — not resolve anything.
         pm2_sleep_us(300'000);
         late = rt.late_replies_dropped();
         timeouts = rt.rpc_timeouts();
@@ -299,6 +331,50 @@ TEST(FaultInjection, LateReplyAfterTimeoutIsTombstoned) {
   EXPECT_EQ(late.load(), 1u);
   EXPECT_EQ(timeouts.load(), 1u);
   EXPECT_EQ(second.load(), 9);
+}
+
+std::atomic<bool> g_late_release{false};
+
+// Replies only once the caller says so, long after its deadline.
+int held_service(RpcContext&, int v) {
+  while (!g_late_release.load()) pm2_sleep_us(1'000);
+  return v;
+}
+
+TEST(FaultInjection, LateReplyAfterManyResolutionsIsDropped) {
+  // A late reply is recognized however many correlations resolved in
+  // between: the rule is "issued but no longer pending", not a bounded
+  // record of recent resolutions.
+  constexpr int kCalls = 1500;
+  g_late_release = false;
+  std::atomic<int> code{-1}, echoed{0};
+  std::atomic<uint64_t> late{0};
+  AppConfig cfg;
+  cfg.nodes = 2;
+  cfg.rt.fault_plan = "seed=1";  // explicitly no faults
+  run_app(
+      cfg,
+      [&](Runtime& rt) {
+        if (rt.self() != 0) return;
+        try {
+          rt.call_within<int>(20'000'000, 1, "held", 5);
+        } catch (const RpcError& e) {
+          code = static_cast<int>(rpc_error_code(e.what()));
+        }
+        for (int i = 0; i < kCalls; ++i)
+          if (rt.call_within<int>(0, 1, "echo", i) == i) ++echoed;
+        g_late_release = true;
+        for (int i = 0; i < 2'000 && rt.late_replies_dropped() == 0; ++i)
+          pm2_sleep_us(1'000);
+        late = rt.late_replies_dropped();
+      },
+      [&](Runtime& rt) {
+        rt.service("held", &held_service);
+        rt.service("echo", &echo_service);
+      });
+  EXPECT_EQ(code.load(), static_cast<int>(RpcErrorCode::kTimeout));
+  EXPECT_EQ(echoed.load(), kCalls);
+  EXPECT_EQ(late.load(), 1u);
 }
 
 TEST(FaultInjection, ExplicitZeroTimeoutWaitsForever) {
@@ -338,8 +414,9 @@ TEST(FaultInjection, SeededChaosCallsSucceedWithRetries) {
           for (int attempt = 0;; ++attempt) {
             ASSERT_LT(attempt, 100) << "call " << i << " never got through";
             try {
-              // Echo is idempotent, and the tombstones swallow duplicate
-              // replies from retries whose first answer was merely dropped:
+              // Echo is idempotent, and a reply to a resolved correlation
+              // (a retried call whose first answer was merely dropped) is
+              // dropped as late:
               // at-least-once retry on kTimeout is safe.
               if (rt.call_within<int>(40'000'000, 1, "echo", i) == i)
                 ++correct;
@@ -448,6 +525,106 @@ TEST(FaultInjection, TimedOutMigrationRollsBackToSource) {
   EXPECT_TRUE(joined.load());
   // Exactly one owner: the destination never installed a copy.
   EXPECT_EQ(arrived_at_dest.load(), 0u);
+}
+
+// --- barrier under peer failure and halt ------------------------------------
+
+TEST(FaultInjection, BarrierFailsAsPeerDownAndThenFailsFast) {
+  // Hand-rolled session: node 1 is partitioned from node 0, so no barrier
+  // could complete (and run_app's epilogue barrier would fail too).
+  iso::AreaConfig ac;
+  ac.skip_decommit = true;
+  iso::Area area(ac);
+  auto hub = std::make_shared<fabric::InProcHub>(2);
+  std::atomic<bool> done{false};
+  std::atomic<int> first{-1}, second{-1};
+  std::atomic<uint64_t> second_ns{0};
+  std::thread t1([&] {
+    RuntimeConfig rc;
+    rc.node = 1;
+    rc.n_nodes = 2;
+    rc.fault_plan = "part=1->0,seed=1";  // node 0 never hears from us
+    Runtime rt(rc, area, hub->endpoint(1));
+    rt.run([&] {
+      while (!done.load()) pm2_sleep_us(1'000);
+    });
+  });
+  std::thread t0([&] {
+    RuntimeConfig rc;
+    rc.node = 0;
+    rc.n_nodes = 2;
+    rc.fault_plan = "seed=1";
+    rc.heartbeat_period_ns = 20'000'000;
+    rc.heartbeat_miss_limit = 3;
+    Runtime rt(rc, area, hub->endpoint(0));
+    rt.run([&] {
+      try {
+        rt.barrier();
+      } catch (const RpcError& e) {
+        first = static_cast<int>(rpc_error_code(e.what()));
+      }
+      // Node 1 is still down: the next barrier fails at registration.
+      uint64_t start = now_ns();
+      try {
+        rt.barrier();
+      } catch (const RpcError& e) {
+        second = static_cast<int>(rpc_error_code(e.what()));
+      }
+      second_ns = now_ns() - start;
+      done = true;
+      rt.halt();  // 0 -> 1 is not partitioned: the halt reaches node 1
+    });
+  });
+  t0.join();
+  t1.join();
+  EXPECT_EQ(first.load(), static_cast<int>(RpcErrorCode::kPeerDown));
+  EXPECT_EQ(second.load(), static_cast<int>(RpcErrorCode::kPeerDown));
+  EXPECT_LT(second_ns.load(), 5'000'000u);
+}
+
+TEST(FaultInjection, HaltReleasesAParkedBarrier) {
+  // Node 1 parks in a barrier that node 0 never enters; node 0 halts.  The
+  // halt must release node 1's barrier (it returns, it does not throw), so
+  // node 1's run() returns.  The alarm turns a hang into a failure.
+  ::alarm(60);
+  iso::AreaConfig ac;
+  ac.skip_decommit = true;
+  iso::Area area(ac);
+  auto hub = std::make_shared<fabric::InProcHub>(2);
+  std::atomic<bool> entering{false}, returned{false}, threw{false};
+  std::thread t1([&] {
+    RuntimeConfig rc;
+    rc.node = 1;
+    rc.n_nodes = 2;
+    rc.fault_plan = "seed=1";
+    Runtime rt(rc, area, hub->endpoint(1));
+    rt.run([&] {
+      entering = true;
+      try {
+        rt.barrier();
+      } catch (const RpcError&) {
+        threw = true;
+      }
+      returned = true;
+    });
+  });
+  std::thread t0([&] {
+    RuntimeConfig rc;
+    rc.node = 0;
+    rc.n_nodes = 2;
+    rc.fault_plan = "seed=1";
+    Runtime rt(rc, area, hub->endpoint(0));
+    rt.run([&] {
+      while (!entering.load()) pm2_sleep_us(1'000);
+      pm2_sleep_us(20'000);  // node 1's arrival is in
+      rt.halt();
+    });
+  });
+  t0.join();
+  t1.join();
+  ::alarm(0);
+  EXPECT_TRUE(returned.load());
+  EXPECT_FALSE(threw.load());
 }
 
 // --- kill -9 mid-session: kPeerDown + crash-mid-migration rollback -----------
